@@ -80,9 +80,34 @@ func Solve(p *Problem) (*Solution, error) {
 		valid = func(int, int) bool { return true }
 	}
 
-	// cross(i, k, j): does any edge leave i..k into k+1..j? Answered in
-	// O(1) from 2-D prefix sums over the edge matrix.
-	pre := newEdgePrefix(n, p.Edges)
+	// VALID depends only on the candidate block (s, e), not on the cell
+	// being solved, so each block is checked at most once: validity[s*n+e]
+	// is 0 until Valid runs, then validOK or validNo.
+	const (
+		validOK uint8 = 1 + iota
+		validNo
+	)
+	validity := make([]uint8, n*n)
+
+	// reach[j*n+x] is the furthest sink <= j of an edge leaving x, or -1.
+	// Row j is row j-1 with the edges that end at j set, so a dependence
+	// leaves i..k into k+1..j exactly when max(reach[j][i..k]) > k — a
+	// running max over one contiguous row as k advances.
+	reach := make([]int32, n*n)
+	for x := range reach {
+		reach[x] = -1
+	}
+	for _, e := range p.Edges {
+		reach[e[1]*n+e[0]] = int32(e[1])
+	}
+	for j := 1; j < n; j++ {
+		prev, row := reach[(j-1)*n:j*n], reach[j*n:(j+1)*n]
+		for x, r := range row {
+			if r < 0 {
+				row[x] = prev[x]
+			}
+		}
+	}
 
 	idx := func(i, j int) int { return i*n + j }
 	opt := make([]int64, n*n)
@@ -101,6 +126,9 @@ func Solve(p *Problem) (*Solution, error) {
 	}
 
 	sol := &Solution{}
+	// Cells are solved in order of span length (anti-diagonals), so the
+	// first unsatisfiable cell and every budget charge below happen in
+	// the same sequence however the inner loop is organized.
 	for s := 2; s <= n; s++ {
 		for i := 0; i+s-1 < n; i++ {
 			j := i + s - 1
@@ -115,22 +143,32 @@ func Solve(p *Problem) (*Solution, error) {
 			if err := p.Meter.AddDPStates(int64(j - i)); err != nil {
 				return nil, err
 			}
+			optI, estI, validI := opt[i*n:(i+1)*n], est[i*n:(i+1)*n], validity[i*n:(i+1)*n]
+			reachJ := reach[j*n : (j+1)*n]
+			far := int32(-1)
 			for k := i; k < j; k++ {
+				far = max(far, reachJ[k])
 				var c, e int64
 				var f bool
-				if pre.cross(i, k, j) {
+				if int(far) > k {
 					// A dependence crosses the partition: a finish around
 					// i..k is required; it must be statically valid.
-					if !valid(i, k) {
+					if validI[k] == 0 {
+						validI[k] = validNo
+						if valid(i, k) {
+							validI[k] = validOK
+						}
+					}
+					if validI[k] == validNo {
 						continue
 					}
-					c = opt[idx(i, k)] + opt[idx(k+1, j)]
+					c = optI[k] + opt[idx(k+1, j)]
 					f = true
-					e = opt[idx(i, k)] + est[idx(k+1, j)]
+					e = optI[k] + est[idx(k+1, j)]
 				} else {
-					c = max64(opt[idx(i, k)], est[idx(i, k)]+opt[idx(k+1, j)])
+					c = max(optI[k], estI[k]+opt[idx(k+1, j)])
 					f = false
-					e = est[idx(i, k)] + est[idx(k+1, j)]
+					e = estI[k] + est[idx(k+1, j)]
 				}
 				if c < cmin {
 					cmin, bestP, bestF, bestE = c, k, f, e
@@ -174,39 +212,4 @@ type UnsatisfiableError struct {
 // Error implements the error interface.
 func (e *UnsatisfiableError) Error() string {
 	return fmt.Sprintf("repair: no statically valid finish placement for vertices %d..%d", e.I, e.J)
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// edgePrefix answers rectangle-emptiness queries over the edge set.
-type edgePrefix struct {
-	n   int
-	sum []int32 // (n+1)x(n+1) prefix sums of the 0/1 edge matrix
-}
-
-func newEdgePrefix(n int, edges [][2]int) *edgePrefix {
-	w := n + 1
-	sum := make([]int32, w*w)
-	for _, e := range edges {
-		x, y := e[0], e[1]
-		sum[(x+1)*w+(y+1)]++
-	}
-	for r := 1; r < w; r++ {
-		for c := 1; c < w; c++ {
-			sum[r*w+c] += sum[(r-1)*w+c] + sum[r*w+c-1] - sum[(r-1)*w+c-1]
-		}
-	}
-	return &edgePrefix{n: n, sum: sum}
-}
-
-// cross reports whether any edge goes from [i..k] into [k+1..j].
-func (p *edgePrefix) cross(i, k, j int) bool {
-	w := p.n + 1
-	rect := p.sum[(k+1)*w+(j+1)] - p.sum[i*w+(j+1)] - p.sum[(k+1)*w+(k+1)] + p.sum[i*w+(k+1)]
-	return rect > 0
 }

@@ -300,23 +300,7 @@ func placeGroup(g *group, maxGraph int, m *guard.Meter) ([]Placement, placeInfo,
 		return ps, info, err
 	}
 
-	prob := &Problem{
-		N:     len(nodes),
-		T:     make([]int64, len(nodes)),
-		Async: make([]bool, len(nodes)),
-		Edges: edges,
-		Valid: func(s, e int) bool {
-			_, ok := computeWrap(nodes, s, e)
-			return ok
-		},
-		Meter: m,
-	}
-	for i, n := range nodes {
-		prob.T[i] = n.SubtreeWork
-		prob.Async[i] = n.Kind == dpst.Async
-	}
-
-	sol, err := Solve(prob)
+	sol, err := Solve(groupProblem(nodes, edges, m))
 	if err != nil {
 		if _, ok := err.(*UnsatisfiableError); ok {
 			info.Fallback = true
@@ -341,6 +325,28 @@ func placeGroup(g *group, maxGraph int, m *guard.Meter) ([]Placement, placeInfo,
 		out = append(out, toPlacement(widen(nodes, sol.Finishes, i, w)))
 	}
 	return out, info, nil
+}
+
+// groupProblem is the §5.2 placement instance of one group's dependence
+// graph: vertex times and kinds from the S-DPST, and VALID answered by
+// computeWrap.
+func groupProblem(nodes []*dpst.Node, edges [][2]int, m *guard.Meter) *Problem {
+	prob := &Problem{
+		N:     len(nodes),
+		T:     make([]int64, len(nodes)),
+		Async: make([]bool, len(nodes)),
+		Edges: edges,
+		Valid: func(s, e int) bool {
+			_, ok := computeWrap(nodes, s, e)
+			return ok
+		},
+		Meter: m,
+	}
+	for i, n := range nodes {
+		prob.T[i] = n.SubtreeWork
+		prob.Async[i] = n.Kind == dpst.Async
+	}
+	return prob
 }
 
 // widen hoists a finish block to the highest expressible scope when it

@@ -1134,10 +1134,3 @@ func applyToBlock(prog *ast.Program, b *ast.Block, ranges []krange) ([]AppliedRa
 	}
 	return applied, nil
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
