@@ -432,6 +432,13 @@ func TestHjrunStress(t *testing.T) {
 	if !strings.Contains(stderr, "0/8 schedule(s) diverged") {
 		t.Errorf("stderr missing the clean stress tally: %s", stderr)
 	}
+
+	// The schedules run on -workers workers; the report is identical.
+	_, seq, _ := runTool(t, "hjrun", "-mode", "stress", "-workers", "1", "-sched-seed", "1", "../examples/hj/counter.hj")
+	_, par, code := runTool(t, "hjrun", "-mode", "stress", "-workers", "8", "-sched-seed", "1", "../examples/hj/counter.hj")
+	if code != 7 || par != seq {
+		t.Errorf("-workers 8 (exit %d) differs from -workers 1:\n%s\nvs\n%s", code, par, seq)
+	}
 }
 
 // TestHjrepairGapVerdict: the bundled unexercised.hj example's gated

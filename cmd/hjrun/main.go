@@ -18,7 +18,8 @@
 //	         deterministic schedules (race-directed on every global plus
 //	         seeded random-priority; -adversary K, -sched-seed N) and
 //	         compare each against the serial oracle — exit 7 with a
-//	         replayable witness on any divergence
+//	         replayable witness on any divergence. The schedules run on
+//	         -workers workers; the report is identical for any count
 //	dot      S-DPST with race edges in Graphviz format (paper Fig. 9)
 //
 // For -mode detect, -detector picks the detector: "mrw" (default) and
@@ -42,6 +43,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 
 	"finishrepair/internal/obs"
 	"finishrepair/tdr"
@@ -60,7 +62,7 @@ const (
 
 func main() {
 	mode := flag.String("mode", "par", "execution mode: seq, par, detect, coverage, or stress")
-	workers := flag.Int("workers", 0, "pool workers for -mode par (0 = GOMAXPROCS)")
+	workers := flag.Int("workers", 0, "pool workers for -mode par, and for -mode stress's adversarial schedules (0 = GOMAXPROCS; stress output is identical for any value)")
 	detector := flag.String("detector", "mrw", "race detector for -mode detect: mrw|srw (ESP-Bags variant) or espbags|vc|both (trace-analysis engine)")
 	adversary := flag.Int("adversary", 0, "schedules for -mode stress (0 = 16)")
 	schedSeed := flag.Int64("sched-seed", 0, "seed for -mode stress's random-priority schedules; runs are deterministic per seed")
@@ -153,10 +155,15 @@ func main() {
 			exit(1)
 		}
 	case "stress":
+		nw := *workers
+		if nw <= 0 {
+			nw = runtime.GOMAXPROCS(0)
+		}
 		rep, err := prog.Stress(ctx, tdr.StressOptions{
 			Schedules: *adversary,
 			Seed:      *schedSeed,
 			Budget:    budget,
+			Workers:   nw,
 		})
 		if err != nil {
 			fail(err)

@@ -246,14 +246,17 @@ func (c *controller) Begin(id int) {
 	t := c.tasks[id]
 	if c.running == -1 && !c.aborted {
 		// Only the root task can find the token free at Begin.
-		c.schedule()
+		c.schedule(-1)
 	}
 	c.mu.Unlock()
 	c.await(t)
 }
 
 // Yield parks the task at point p, lets the schedule pick a successor,
-// and returns when the task is granted again.
+// and returns when the task is granted again. When the pick is the
+// yielding task itself (always under depth-first order, and whenever it
+// is the only ready task) it returns at once: the grant is recorded
+// exactly as any other, only the gate handoff is skipped.
 func (c *controller) Yield(id int, p parinterp.Point) {
 	c.mu.Lock()
 	if c.aborted {
@@ -284,7 +287,10 @@ func (c *controller) Yield(id int, p parinterp.Point) {
 		c.ready = append(c.ready, id)
 	}
 	c.running = -1
-	c.schedule()
+	if c.schedule(id) {
+		c.mu.Unlock()
+		return
+	}
 	c.mu.Unlock()
 	c.await(t)
 }
@@ -320,7 +326,7 @@ func (c *controller) FinishWait(id int, sid int) {
 	t.state = tBlocked
 	t.hasPending = false
 	c.running = -1
-	c.schedule()
+	c.schedule(-1)
 	c.mu.Unlock()
 	c.await(t)
 }
@@ -349,7 +355,7 @@ func (c *controller) End(id int, failed bool) {
 	}
 	if !c.aborted && c.running == id {
 		c.running = -1
-		c.schedule()
+		c.schedule(-1)
 	}
 	c.mu.Unlock()
 }
@@ -366,9 +372,12 @@ func (c *controller) abort() {
 // schedule (mu held) grants the token to the schedule's pick. With no
 // ready task it promotes the longest-deferred one (the livelock
 // fallback: a directed schedule may not stall the program forever).
-func (c *controller) schedule() {
+// It reports whether the pick is self, the calling task (-1: none): that
+// task is running on its own goroutine already, so the grant skips the
+// gate send and the caller must not await it.
+func (c *controller) schedule(self int) bool {
 	if c.aborted || c.running != -1 {
-		return
+		return false
 	}
 	if len(c.ready) == 0 && len(c.deferred) > 0 {
 		id := c.deferred[0]
@@ -383,7 +392,7 @@ func (c *controller) schedule() {
 			c.err = fmt.Errorf("adversary: schedule deadlock with %d live task(s)", c.live)
 			c.abort()
 		}
-		return
+		return false
 	}
 	i := c.pick()
 	id := c.ready[i]
@@ -394,7 +403,11 @@ func (c *controller) schedule() {
 	c.running = id
 	c.grants++
 	c.trace = fnvMix(c.trace, uint64(id))
+	if id == self {
+		return true
+	}
 	t.gate <- struct{}{}
+	return false
 }
 
 // pick (mu held) chooses the index into ready per the policy. The

@@ -3,6 +3,10 @@ package adversary
 import (
 	"context"
 	"errors"
+	"fmt"
+	"os"
+	"reflect"
+	"strings"
 	"testing"
 
 	"finishrepair/internal/bench"
@@ -69,7 +73,7 @@ func TestDepthFirstMatchesOracle(t *testing.T) {
 	}
 	for _, b := range bench.All() {
 		// Small inputs: controlled runs serialize every access.
-		srcs["bench/"+b.Name] = b.Src(minInt(b.RepairSize, 12))
+		srcs["bench/"+b.Name] = b.Src(min(b.RepairSize, 12))
 	}
 	for name, src := range srcs {
 		t.Run(name, func(t *testing.T) {
@@ -88,13 +92,6 @@ func TestDepthFirstMatchesOracle(t *testing.T) {
 			}
 		})
 	}
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 func TestRandomScheduleDeterminism(t *testing.T) {
@@ -203,6 +200,96 @@ func TestVerifyCatchesRacyProgram(t *testing.T) {
 	}
 }
 
+// verifyCase is one program of the parallel-verify tests with its
+// K-schedule suite (race-directed on every global, then random).
+type verifyCase struct {
+	name   string
+	info   *sem.Info
+	scheds []Schedule
+}
+
+func verifyCases(t *testing.T) []verifyCase {
+	t.Helper()
+	b := bench.All()[0]
+	srcs := []struct{ name, src string }{
+		{"counter", counterSrc},
+		{"repaired-counter", repairedCounterSrc},
+		{"bench/" + b.Name, b.Src(min(b.RepairSize, 12))},
+	}
+	var cases []verifyCase
+	for _, s := range srcs {
+		info := check(t, s.src)
+		var locs []uint64
+		for i := 0; i < info.GlobalCount; i++ {
+			locs = append(locs, uint64(1+i))
+		}
+		cases = append(cases, verifyCase{s.name, info, VerifySchedules(locs, 16, 1)})
+	}
+	return cases
+}
+
+// TestVerifyWorkersIdentical: the verify report is a pure function of
+// the program and the schedules. Only the per-schedule wall time may
+// differ between worker counts.
+func TestVerifyWorkersIdentical(t *testing.T) {
+	for _, c := range verifyCases(t) {
+		t.Run(c.name, func(t *testing.T) {
+			oracle, err := Oracle(c.info, nil)
+			if err != nil {
+				t.Fatalf("oracle: %v", err)
+			}
+			var base *VerifyReport
+			for _, workers := range []int{1, 2, 8} {
+				rep, err := Verify(c.info, oracle, c.scheds, SearchOptions{Workers: workers})
+				if err != nil {
+					t.Fatalf("workers=%d: Verify: %v", workers, err)
+				}
+				if len(rep.Schedules) != len(c.scheds) {
+					t.Fatalf("workers=%d: %d results for %d schedules", workers, len(rep.Schedules), len(c.scheds))
+				}
+				for i := range rep.Schedules {
+					rep.Schedules[i].Ns = 0
+				}
+				if base == nil {
+					base = rep
+					continue
+				}
+				if !reflect.DeepEqual(rep, base) {
+					t.Errorf("workers=%d: report differs from workers=1\n%+v\nvs\n%+v", workers, rep, base)
+				}
+			}
+			if c.name == "counter" && base.First == nil {
+				t.Error("racy counter: no first divergence recorded")
+			}
+		})
+	}
+}
+
+// TestVerifyBudgetParallel: a budget trip or a cancellation aborts the
+// search with its typed error at any worker count.
+func TestVerifyBudgetParallel(t *testing.T) {
+	c := verifyCases(t)[2]
+	oracle, err := Oracle(c.info, nil)
+	if err != nil {
+		t.Fatalf("oracle: %v", err)
+	}
+	canceled, cancel := context.WithCancel(context.Background())
+	cancel()
+	for _, workers := range []int{1, 8} {
+		m := guard.NewMeter(context.Background(), guard.Budget{OpLimit: 500})
+		_, err := Verify(c.info, oracle, c.scheds, SearchOptions{Meter: m, Workers: workers})
+		var bx *guard.BudgetExceededError
+		if !errors.As(err, &bx) {
+			t.Errorf("workers=%d: op limit: err = %v, want *guard.BudgetExceededError", workers, err)
+		}
+		m = guard.NewMeter(canceled, guard.Budget{})
+		_, err = Verify(c.info, oracle, c.scheds, SearchOptions{Meter: m, Workers: workers})
+		if !errors.Is(err, guard.ErrCanceled) {
+			t.Errorf("workers=%d: canceled context: err = %v, want ErrCanceled", workers, err)
+		}
+	}
+}
+
 func TestSearchGapUnreachable(t *testing.T) {
 	// The repaired form of examples/hj/unexercised.hj: the first writer
 	// is fenced, the second is gated on a threshold this input never
@@ -283,4 +370,107 @@ func TestBudgetAbortsSearch(t *testing.T) {
 	if err == nil || !guard.IsBudgetOrCanceled(err) {
 		t.Fatalf("err = %v, want a budget trip", err)
 	}
+}
+
+// assignPosOnLine returns the position of the first assignment on line.
+func assignPosOnLine(t *testing.T, prog *ast.Program, line int) token.Pos {
+	t.Helper()
+	var pos token.Pos
+	ast.Inspect(prog, func(s ast.Stmt) {
+		if as, ok := s.(*ast.AssignStmt); ok && as.Pos().Line == line && pos == (token.Pos{}) {
+			pos = as.Pos()
+		}
+	})
+	if pos == (token.Pos{}) {
+		t.Fatalf("no assignment on line %d", line)
+	}
+	return pos
+}
+
+// TestSelfGrantDigestsPinned pins every scheduling decision of the
+// controller: each schedule's grant digest, yield count and grant count
+// below were captured from the controller that handed the token through
+// the gate channel on every grant, self-grants included. Skipping the
+// handoff when a yielding task is granted straight back must not change
+// a single decision, so the table must hold unchanged.
+func TestSelfGrantDigestsPinned(t *testing.T) {
+	type pin struct {
+		prog, sched    string
+		trace          uint64
+		yields, grants int64
+	}
+	want := []pin{
+		{"counter", "depth-first", 0x66a56bf61ddc7626, 8, 11},
+		{"counter", "defer-write@loc1", 0x8d2d122f65f21b26, 8, 12},
+		{"counter", "defer-read@loc1", 0xdc6d216a2498d366, 8, 12},
+		{"counter", "defer-pos@5:17", 0xee814ec5d8293366, 8, 12},
+		{"counter", "random#0", 0x7dd4dfb08b424ae6, 8, 12},
+		{"counter", "random#1", 0x118fd9d1b2644186, 8, 12},
+		{"counter", "random#2", 0x3f5e3e3b01f69906, 8, 12},
+		{"counter", "random#3", 0x9e8fc8cc597274c6, 8, 12},
+		{"minmax.hj", "depth-first", 0xeac25717b59b796b, 88, 105},
+		{"minmax.hj", "defer-write@loc2", 0x9584b9069fc1f7a3, 94, 112},
+		{"minmax.hj", "defer-read@loc2", 0xaa39a8193b21a1ab, 88, 106},
+		{"minmax.hj", "defer-pos@22:21", 0x9584b9069fc1f7a3, 94, 112},
+		{"minmax.hj", "random#0", 0xb157917bbdf3282b, 88, 106},
+		{"minmax.hj", "random#1", 0xaa0bba226c6eb54d, 90, 107},
+		{"minmax.hj", "random#2", 0xee637669ae7b33cd, 89, 107},
+		{"minmax.hj", "random#3", 0xeba7f00c3dbd6e2d, 89, 107},
+		{"sumsq.hj", "depth-first", 0x7f41837d69dd640d, 74, 83},
+		{"sumsq.hj", "defer-write@loc2", 0xa3b1a32cbe80592d, 74, 84},
+		{"sumsq.hj", "defer-read@loc2", 0x11f26c0a67d61e2d, 74, 84},
+		{"sumsq.hj", "defer-pos@18:17", 0x5ccd9029f6d6cead, 74, 84},
+		{"sumsq.hj", "random#0", 0xba7079a2edbafecd, 74, 84},
+		{"sumsq.hj", "random#1", 0x690949a6aeeb794d, 74, 84},
+		{"sumsq.hj", "random#2", 0x6ae20f552359be0d, 74, 84},
+		{"sumsq.hj", "random#3", 0x4dea000a8c20316d, 74, 84},
+	}
+	readExample := func(name string) string {
+		src, err := os.ReadFile("../../examples/hj/" + name)
+		if err != nil {
+			t.Fatalf("read example: %v", err)
+		}
+		return string(src)
+	}
+	progs := []struct {
+		name, src string
+		loc       uint64 // racing location (global slot + 1)
+		line      int    // line of the racing write
+	}{
+		{"counter", counterSrc, 1, 5},
+		{"minmax.hj", readExample("minmax.hj"), 2, 22},
+		{"sumsq.hj", readExample("sumsq.hj"), 2, 18},
+	}
+	var got []pin
+	for _, p := range progs {
+		prog := parser.MustParse(p.src)
+		info, err := sem.Check(prog)
+		if err != nil {
+			t.Fatalf("%s: sem.Check: %v", p.name, err)
+		}
+		scheds := []Schedule{
+			{Policy: DepthFirst},
+			{Policy: DeferWrite, Loc: p.loc},
+			{Policy: DeferRead, Loc: p.loc},
+			{Policy: DeferPos, Pos: assignPosOnLine(t, prog, p.line)},
+		}
+		for seed := int64(0); seed < 4; seed++ {
+			scheds = append(scheds, Schedule{Policy: RandomPriority, Seed: seed})
+		}
+		for _, s := range scheds {
+			out, err := Run(info, s, RunOptions{})
+			if err != nil {
+				t.Fatalf("%s %s: %v", p.name, s, err)
+			}
+			got = append(got, pin{p.name, s.String(), out.Trace, out.Yields, out.Grants})
+		}
+	}
+	if reflect.DeepEqual(got, want) {
+		return
+	}
+	var b strings.Builder
+	for _, g := range got {
+		fmt.Fprintf(&b, "\t\t{%q, %q, 0x%016x, %d, %d},\n", g.prog, g.sched, g.trace, g.yields, g.grants)
+	}
+	t.Fatalf("controller decisions changed; got table:\n%s", b.String())
 }

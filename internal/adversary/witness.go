@@ -2,12 +2,15 @@ package adversary
 
 import (
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"finishrepair/internal/guard"
 	"finishrepair/internal/interp"
 	"finishrepair/internal/lang/sem"
 	"finishrepair/internal/lang/token"
+	"finishrepair/internal/obs"
+	"finishrepair/internal/sched"
 )
 
 // Oracle runs the canonical sequential depth-first execution — the
@@ -89,6 +92,16 @@ type SearchOptions struct {
 	RandomSchedules int
 	// MaxYields bounds each schedule run (0 = DefaultMaxYields).
 	MaxYields int64
+	// Workers bounds Verify's parallelism: its schedules run on a pool
+	// of this many workers (0 or 1 is sequential). The report is
+	// identical for any worker count except ScheduleResult.Ns.
+	// FindWitness and SearchGap stop at their first divergence and
+	// always run sequentially.
+	Workers int
+	// Span, when non-nil and Verify's pool is actually parallel, gets
+	// one "verify-worker" child per worker recording how many schedules
+	// it ran.
+	Span *obs.Span
 }
 
 // DefaultRandomSchedules is the random-priority fallback depth of the
@@ -173,20 +186,73 @@ func VerifySchedules(locs []uint64, k int, seed int64) []Schedule {
 }
 
 // Verify re-executes the program under every schedule and compares each
-// against the serial oracle. All schedules run even after a failure, so
-// the report shows the full divergence surface.
+// against the serial oracle. All schedules run even after a divergence,
+// so the report shows the full divergence surface.
+//
+// The schedules are independent and deterministic, so they run on a
+// pool of opts.Workers workers, each into its own result slot; the
+// slots are then merged strictly in schedule order, making Schedules,
+// Failures and First identical for any worker count. A pipeline error
+// (budget trip, cancellation, contained panic) stops the search: the
+// schedules not yet started are skipped, and the error of the
+// lowest-index failing schedule is returned.
 func Verify(info *sem.Info, oracle *Outcome, scheds []Schedule, opts SearchOptions) (*VerifyReport, error) {
-	rep := &VerifyReport{}
-	for _, s := range scheds {
-		t0 := time.Now()
-		out, err := Run(info, s, RunOptions{Meter: opts.Meter, MaxYields: opts.MaxYields})
-		ns := time.Since(t0).Nanoseconds()
-		mVerifyScheduleNs.Observe(ns)
-		if err != nil {
+	type result struct {
+		out *Outcome
+		ns  int64
+		err error
+	}
+	results := make([]result, len(scheds))
+	var failed atomic.Bool
+	nw := min(opts.Workers, len(scheds))
+	var wspans []*obs.Span
+	var wcounts []int64
+	if nw > 1 && opts.Span != nil {
+		wspans = make([]*obs.Span, nw)
+		wcounts = make([]int64, nw)
+		for w := range wspans {
+			wspans[w] = opts.Span.Child("verify-worker").SetInt("worker", int64(w))
+		}
+	}
+	sched.RunIndexed(len(scheds), nw, func(w, i int) {
+		if failed.Load() {
+			return
+		}
+		if wcounts != nil {
+			wcounts[w]++
+		}
+		r := &results[i]
+		// Protect inside the worker: a contained panic must surface as
+		// this schedule's error, not crash the process.
+		r.err = guard.Protect("adversary-verify", func() error {
+			t0 := time.Now()
+			out, err := Run(info, scheds[i], RunOptions{Meter: opts.Meter, MaxYields: opts.MaxYields})
+			r.ns = time.Since(t0).Nanoseconds()
+			mVerifyScheduleNs.Observe(r.ns)
+			r.out = out
+			return err
+		})
+		if r.err != nil {
+			failed.Store(true)
+		}
+	})
+	for w, ws := range wspans {
+		ws.SetInt("schedules", wcounts[w]).End()
+	}
+
+	// Indices are handed out in increasing order and a schedule is
+	// skipped only after an earlier-started one failed, so every skipped
+	// slot lies above the lowest-index error.
+	for i := range results {
+		if err := results[i].err; err != nil {
 			return nil, err
 		}
+	}
+	rep := &VerifyReport{}
+	for i, s := range scheds {
+		out := results[i].out
 		div, reason := Diverges(oracle, out)
-		rep.Schedules = append(rep.Schedules, ScheduleResult{Schedule: s, Diverged: div, Reason: reason, Ns: ns})
+		rep.Schedules = append(rep.Schedules, ScheduleResult{Schedule: s, Diverged: div, Reason: reason, Ns: results[i].ns})
 		if div {
 			rep.Failures++
 			if rep.First == nil {

@@ -2,45 +2,12 @@ package repair
 
 import (
 	"errors"
-	"sync"
 	"sync/atomic"
 
 	"finishrepair/internal/guard"
 	"finishrepair/internal/obs"
+	"finishrepair/internal/sched"
 )
-
-// runIndexed executes fn(worker, i) for every i in [0, n) on at most
-// workers goroutines, handing out indices through a shared atomic
-// counter. workers <= 1 (or n <= 1) degenerates to a plain loop on the
-// calling goroutine, so the sequential path pays nothing for the
-// abstraction and parallel/serial runs share one code path.
-func runIndexed(n, workers int, fn func(worker, i int)) {
-	if workers > n {
-		workers = n
-	}
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
-			fn(0, i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(w, i)
-			}
-		}(w)
-	}
-	wg.Wait()
-}
 
 // SolveAll solves independent placement problems on a bounded worker
 // pool and returns the solutions indexed like probs. The problems must
@@ -51,7 +18,7 @@ func runIndexed(n, workers int, fn func(worker, i int)) {
 func SolveAll(probs []*Problem, workers int) ([]*Solution, error) {
 	sols := make([]*Solution, len(probs))
 	errs := make([]error, len(probs))
-	runIndexed(len(probs), workers, func(_, i int) {
+	sched.RunIndexed(len(probs), workers, func(_, i int) {
 		sols[i], errs[i] = Solve(probs[i])
 	})
 	for _, err := range errs {
@@ -142,7 +109,7 @@ func placeGroups(groups []*group, maxGraph int, m *guard.Meter, workers int, spa
 			wspans[w] = span.Child("dp-worker").SetInt("worker", int64(w))
 		}
 	}
-	runIndexed(len(groups), nw, func(w, i int) {
+	sched.RunIndexed(len(groups), nw, func(w, i int) {
 		if wcounts != nil {
 			wcounts[w]++
 		}

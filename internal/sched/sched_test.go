@@ -141,3 +141,39 @@ func TestSubmitAfterShutdown(t *testing.T) {
 		t.Fatalf("%d/2 tasks ran after shutdown", got)
 	}
 }
+
+// TestRunIndexed: every index runs exactly once, on a worker id below
+// min(workers, n); at workers <= 1 the indices run in order on the
+// calling goroutine as worker 0.
+func TestRunIndexed(t *testing.T) {
+	for _, tc := range []struct{ n, workers int }{
+		{0, 4}, {1, 4}, {5, 0}, {5, 1}, {7, 3}, {100, 8}, {3, 16},
+	} {
+		hits := make([]atomic.Int32, tc.n)
+		var mu sync.Mutex
+		var order []int
+		limit := max(min(tc.workers, tc.n), 1)
+		sched.RunIndexed(tc.n, tc.workers, func(w, i int) {
+			hits[i].Add(1)
+			if w < 0 || w >= limit {
+				t.Errorf("n=%d workers=%d: worker id %d out of range [0,%d)", tc.n, tc.workers, w, limit)
+			}
+			mu.Lock()
+			order = append(order, i)
+			mu.Unlock()
+		})
+		for i := range hits {
+			if h := hits[i].Load(); h != 1 {
+				t.Errorf("n=%d workers=%d: index %d ran %d times, want 1", tc.n, tc.workers, i, h)
+			}
+		}
+		if tc.workers <= 1 {
+			for i, got := range order {
+				if got != i {
+					t.Errorf("n=%d workers=%d: sequential order %v, want ascending", tc.n, tc.workers, order)
+					break
+				}
+			}
+		}
+	}
+}

@@ -149,7 +149,9 @@ func (p *Program) adversaryStage(opts RepairOptions, m *guard.Meter, report *Rep
 	var stageErr error
 	err := guard.Protect("adversary", func() error {
 		m.SetPhase("adversary")
-		sopts := adversary.SearchOptions{Meter: m, Seed: opts.SchedSeed}
+		// Workers only parallelizes Verify; the witness and gap searches
+		// stop at their first divergence and run sequentially.
+		sopts := adversary.SearchOptions{Meter: m, Seed: opts.SchedSeed, Workers: opts.Workers}
 
 		// Witness search: replay each reported race on the original
 		// program until a race-directed or seeded random schedule makes
@@ -229,6 +231,7 @@ func (p *Program) adversaryStage(opts RepairOptions, m *guard.Meter, report *Rep
 		locs := targetLocs(targets)
 		scheds := adversary.VerifySchedules(locs, k, opts.SchedSeed)
 		sp := tr.Start("adversarial-verify").SetInt("schedules", int64(len(scheds)))
+		sopts.Span = sp
 		vrep, verr := adversary.Verify(info, oracle, scheds, sopts)
 		if verr != nil {
 			sp.End()
@@ -296,6 +299,9 @@ type StressOptions struct {
 	// Budget bounds the run (every schedule's yields charge the op
 	// budget).
 	Budget Budget
+	// Workers runs the schedules on a pool of this many workers (0 or 1
+	// is sequential). The report is identical for any worker count.
+	Workers int
 }
 
 // StressReport summarizes an adversarial stress run.
@@ -339,7 +345,9 @@ func (p *Program) Stress(ctx context.Context, opts StressOptions) (*StressReport
 		}
 		scheds := adversary.VerifySchedules(locs, k, opts.Seed)
 		sp := p.tracer.Start("adversarial-stress").SetInt("schedules", int64(len(scheds)))
-		vrep, verr := adversary.Verify(info, oracle, scheds, adversary.SearchOptions{Meter: m, Seed: opts.Seed})
+		vrep, verr := adversary.Verify(info, oracle, scheds, adversary.SearchOptions{
+			Meter: m, Seed: opts.Seed, Workers: opts.Workers, Span: sp,
+		})
 		if verr != nil {
 			sp.End()
 			return verr

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"finishrepair/internal/bench"
+	"finishrepair/internal/obs"
 	"finishrepair/tdr"
 )
 
@@ -100,8 +101,8 @@ func TestAdversarySchedulesAloneEnablesVerify(t *testing.T) {
 }
 
 // TestAdversaryDeterminism (satellite: -sched-seed determinism): the
-// witness, gap, and verify results are bit-identical across repeated
-// runs and across analysis worker counts.
+// witness, gap, verify and stress results are bit-identical across
+// repeated runs and across worker counts.
 func TestAdversaryDeterminism(t *testing.T) {
 	run := func(workers int) *tdr.RepairReport {
 		p := mustLoad(t, racyCounter)
@@ -114,7 +115,7 @@ func TestAdversaryDeterminism(t *testing.T) {
 		return rep
 	}
 	base := run(1)
-	for _, workers := range []int{1, 8} {
+	for _, workers := range []int{1, 2, 8} {
 		rep := run(workers)
 		if !reflect.DeepEqual(rep.Witnesses, base.Witnesses) {
 			t.Errorf("workers=%d: witnesses differ\n%+v\nvs\n%+v", workers, rep.Witnesses, base.Witnesses)
@@ -124,6 +125,72 @@ func TestAdversaryDeterminism(t *testing.T) {
 		}
 		if !reflect.DeepEqual(rep.GapVerdicts, base.GapVerdicts) {
 			t.Errorf("workers=%d: gap verdicts differ\n%+v\nvs\n%+v", workers, rep.GapVerdicts, base.GapVerdicts)
+		}
+	}
+
+	stress := func(workers int) *tdr.StressReport {
+		rep, err := mustLoad(t, racyCounter).Stress(context.Background(), tdr.StressOptions{Seed: 7, Workers: workers})
+		if err != nil {
+			t.Fatalf("Stress (workers=%d): %v", workers, err)
+		}
+		return rep
+	}
+	sbase := stress(1)
+	if sbase.Failures == 0 {
+		t.Fatal("stress passed the racy counter")
+	}
+	for _, workers := range []int{1, 2, 8} {
+		if rep := stress(workers); !reflect.DeepEqual(rep, sbase) {
+			t.Errorf("workers=%d: stress reports differ\n%+v\nvs\n%+v", workers, rep, sbase)
+		}
+	}
+}
+
+// TestVerifyWorkerSpans: a parallel verification records one
+// verify-worker child per worker under its stage span, and the workers'
+// schedule counts add up to the suite size.
+func TestVerifyWorkerSpans(t *testing.T) {
+	for _, stage := range []string{"adversarial-verify", "adversarial-stress"} {
+		tr := obs.New()
+		p, err := tdr.LoadTraced(racyCounter, tr)
+		if err != nil {
+			t.Fatalf("LoadTraced: %v", err)
+		}
+		if stage == "adversarial-verify" {
+			_, err = p.Repair(tdr.RepairOptions{AdversarySchedules: 8, SchedSeed: 1, Workers: 2})
+		} else {
+			_, err = p.Stress(context.Background(), tdr.StressOptions{Schedules: 8, Seed: 1, Workers: 2})
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", stage, err)
+		}
+		recs := tr.Records()
+		parent := int64(-1)
+		for _, r := range recs {
+			if r.Name == stage {
+				parent = r.ID
+			}
+		}
+		if parent < 0 {
+			t.Fatalf("no %s span", stage)
+		}
+		workers, total := 0, int64(0)
+		for _, r := range recs {
+			if r.Name != "verify-worker" {
+				continue
+			}
+			if r.Parent != parent {
+				t.Errorf("%s: verify-worker span under parent %d, want %d", stage, r.Parent, parent)
+			}
+			workers++
+			for _, a := range r.Attrs {
+				if a.Key == "schedules" {
+					total += a.Int
+				}
+			}
+		}
+		if workers != 2 || total != 8 {
+			t.Errorf("%s: %d verify-worker spans covering %d schedules, want 2 covering 8", stage, workers, total)
 		}
 	}
 }

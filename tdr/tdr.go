@@ -344,8 +344,9 @@ type RepairOptions struct {
 	Tracer *obs.Tracer
 	// Workers bounds the analysis parallelism: with Engine Both the two
 	// detector engines analyze the captured trace concurrently, and the
-	// independent per-NS-LCA placement problems are solved on a worker
-	// pool of this size. The repaired program is byte-identical for any
+	// independent per-NS-LCA placement problems and the post-repair
+	// adversarial verification schedules run on a worker pool of this
+	// size. The repaired program and every report are identical for any
 	// worker count. 0 or 1 is fully sequential.
 	Workers int
 	// Vet runs the static analyzer over the program before the repair
