@@ -67,6 +67,7 @@ report:
 fuzz:
 	$(GO) test -fuzz=FuzzParse -fuzztime=20s ./internal/lang/parser
 	$(GO) test -fuzz=FuzzRepairRoundTrip -fuzztime=20s ./tdr
+	$(GO) test -fuzz=FuzzReadTrace -fuzztime=20s ./internal/race
 
 # Adversarial replay smoke: repair every bundled example with witness
 # generation and K-schedule verification, writing the witness-bearing

@@ -163,6 +163,10 @@ func NewTree() *Tree {
 	return t
 }
 
+// IDBound returns one more than the largest ID the tree has handed out,
+// so every node's ID lies in [0, IDBound()).
+func (t *Tree) IDBound() int { return t.nextID }
+
 // NumNodes returns the number of live nodes in the tree.
 func (t *Tree) NumNodes() int {
 	n := 0

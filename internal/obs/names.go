@@ -36,6 +36,7 @@ var KnownMetrics = map[string]string{
 	"race.analyze_shards": "gauge",
 	"race.stream_chunks":  "counter",
 	"race.dual_queries":   "counter",
+	"race.raw_reports":    "counter",
 
 	// repair: the test-driven finish-placement loop.
 	"repair.iterations":           "counter",

@@ -24,6 +24,7 @@ var (
 	mAnalyzeShards = obs.Default().Gauge("race.analyze_shards")
 	mStreamChunks  = obs.Default().Counter("race.stream_chunks")
 	mDualQueries   = obs.Default().Counter("race.dual_queries")
+	mRawReports    = obs.Default().Counter("race.raw_reports")
 )
 
 // ShadowSizer is implemented by detectors that can report the size of
@@ -129,6 +130,9 @@ func observeAnalysis(det Detector, rr *trace.Result, elapsed time.Duration) {
 	mDetectRuns.Inc()
 	n := int64(len(det.Races()))
 	mRacesFound.Add(n)
+	if rc := recorderOf(det); rc != nil {
+		mRawReports.Add(int64(rc.n))
+	}
 	mRacesPerRun.Observe(n)
 	if rr.Tree != nil {
 		mSDPSTNodes.Set(int64(rr.Tree.NumNodes()))
@@ -136,6 +140,22 @@ func observeAnalysis(det Detector, rr *trace.Result, elapsed time.Duration) {
 	if f, ok := det.(*Fused); ok {
 		mDualQueries.Add(int64(f.Queries()))
 	}
+}
+
+// recorderOf returns the recorder behind det's Races() (the primary
+// engine's for a differential run), or nil for a detector without one.
+func recorderOf(det Detector) *recorder {
+	switch d := det.(type) {
+	case ordStamper:
+		return d.recorder()
+	case namedEngine:
+		return recorderOf(d.Detector)
+	case *Fused:
+		return recorderOf(d.Detector)
+	case *Differential:
+		return recorderOf(d.primary)
+	}
+	return nil
 }
 
 // CaptureAnalyzeStreamed overlaps capture and analysis: the instrumented

@@ -1,0 +1,17 @@
+package race
+
+// ResolvedReference runs the reference dedupe over the raw report
+// stream behind det's Races().
+func ResolvedReference(det Detector) []*Race { return resolvedReference(recorderOf(det)) }
+
+// Reresolve drops det's cached race set and resolves its raw report
+// stream again, so benchmarks can time the dedupe on its own.
+func Reresolve(det Detector) []*Race {
+	rc := recorderOf(det)
+	rc.cache = nil
+	return rc.resolved()
+}
+
+// RawReports is the length of the raw report stream behind det's
+// Races().
+func RawReports(det Detector) int { return recorderOf(det).n }

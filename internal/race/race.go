@@ -28,6 +28,7 @@ package race
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 
 	"finishrepair/internal/dpst"
@@ -132,7 +133,9 @@ type Releaser interface {
 // mutually-exclusive lock classes (see isoOrdered) are ordered by that
 // lock and never race (the suppression lives here, in the detectors, so
 // every oracle-backed engine shares one rule and the differential
-// cross-check stays honest for free).
+// cross-check stays honest for free). Accesses must arrive in the
+// depth-first order trace replay produces them in; Races() relies on it
+// (see recorder.resolved).
 type Detector interface {
 	Read(loc uint64, step *dpst.Node, site trace.Site)
 	Write(loc uint64, step *dpst.Node, site trace.Site)
@@ -151,85 +154,183 @@ type access struct {
 	site trace.Site
 }
 
-type raceKey struct {
-	loc      uint64
-	src, dst int32
-	kind     Kind
+// recorder stores raw race reports and resolves them lazily into the
+// distinct race set. report appends to a chunked arena, whose chunks are
+// never copied to grow (a race-heavy run reports hundreds of thousands
+// of times), and resolved() turns the stream into distinct races in one
+// pass, caching the result until the next report. Chunks and the dedupe
+// table are kept across reset for pooled reuse.
+type recorder struct {
+	chunks [][]Race // raw reports in arrival order
+	spare  [][]Race // emptied chunks kept for reuse
+	n      int      // raw reports stored
+	cache  []*Race
+	seen   sinkTable
+	ord    uint64 // stamp for subsequent reports (sharded scans)
 }
 
-// recorder stores raw race reports and deduplicates them lazily: report
-// is a plain arena append (the scan watermarks in mrwList already keep
-// the raw stream near-distinct), and the one dedupe map is built per
-// resolved() call, whose result is cached until the next report.
-type recorder struct {
-	races []Race
-	cache []*Race
-	seen  map[raceKey]int32 // scratch for resolved(), reused across runs
-	ord   uint64            // stamp for subsequent reports (sharded scans)
-}
+// Raw chunks grow geometrically with the stream, so a run with a
+// handful of races allocates little and a race-heavy one needs few
+// chunks.
+const (
+	rawChunkMin = 32
+	rawChunkMax = 8192
+)
 
 func newRecorder() recorder { return recorder{} }
 
 func (rc *recorder) reset() {
-	clear(rc.races) // drop S-DPST node references before pooling
-	rc.races = rc.races[:0]
+	for _, c := range rc.chunks {
+		clear(c) // drop S-DPST node references before pooling
+		rc.spare = append(rc.spare, c[:0])
+	}
+	rc.chunks = rc.chunks[:0]
+	rc.n = 0
 	rc.cache = nil
 	rc.ord = 0
 }
 
 func (rc *recorder) report(src, dst *dpst.Node, loc uint64, kind Kind, srcSite, dstSite trace.Site) {
-	rc.races = append(rc.races, Race{Src: src, Dst: dst, Loc: loc, Kind: kind, SrcSite: srcSite, DstSite: dstSite, ord: rc.ord})
-	rc.cache = nil
+	rc.add(Race{Src: src, Dst: dst, Loc: loc, Kind: kind, SrcSite: srcSite, DstSite: dstSite, ord: rc.ord})
 }
 
-// adopt appends raw reports merged from other recorders (the sharded
-// analysis path), invalidating any cached resolution. The values are
-// copied, so the source recorders may be reset afterwards.
-func (rc *recorder) adopt(rs []Race) {
-	rc.races = append(rc.races, rs...)
+// add appends one raw report, invalidating any cached resolution.
+func (rc *recorder) add(r Race) {
+	k := len(rc.chunks) - 1
+	if k < 0 || len(rc.chunks[k]) == cap(rc.chunks[k]) {
+		if s := len(rc.spare) - 1; s >= 0 {
+			rc.chunks = append(rc.chunks, rc.spare[s])
+			rc.spare = rc.spare[:s]
+		} else {
+			rc.chunks = append(rc.chunks, make([]Race, 0, min(max(rc.n, rawChunkMin), rawChunkMax)))
+		}
+		k++
+	}
+	rc.chunks[k] = append(rc.chunks[k], r)
+	rc.n++
 	rc.cache = nil
 }
 
 // resolved returns the races with their endpoints resolved to live
 // S-DPST steps (fine-grained steps may have been collapsed into maximal
-// steps during construction), deduplicated after resolution. The result
-// is cached until the next report and owns its backing storage, so it
-// stays valid after the recorder is reset for reuse.
+// steps during construction), deduplicated after resolution, in order
+// of first occurrence in the raw stream. The result is cached until the
+// next report and owns its backing storage, so it stays valid after the
+// recorder is reset for reuse.
+//
+// The dedupe relies on the order replay builds steps in: the sink of a
+// report is the current step, and the resolved current step never moves
+// to a lower ID. New steps get increasing IDs; the trailing-merge rule
+// only re-enters the last child step of the current scope, and every
+// step created since then sits in a subtree collapsed into that step or
+// merged into it, so it resolves to the same node. Collapse maps each
+// ID interval to its smallest member, which keeps the order. All
+// reports of one resolved sink are therefore contiguous, and a race
+// seen in an earlier sink run can never repeat: the table only holds
+// the current run, so it is sized by the largest run, not the stream.
 func (rc *recorder) resolved() []*Race {
 	if rc.cache != nil {
 		return rc.cache
 	}
-	if rc.seen == nil {
-		rc.seen = make(map[raceKey]int32, len(rc.races))
-	} else {
-		clear(rc.seen)
-	}
-	// Count the distinct set first so the arena is sized exactly: raw
-	// reports can outnumber distinct races many times over, and a
-	// raw-count-capacity arena per analysis is what the pooling is
-	// there to avoid.
-	for i := range rc.races {
-		r := &rc.races[i]
-		k := raceKey{loc: r.Loc, src: int32(r.Src.Resolve().ID), dst: int32(r.Dst.Resolve().ID), kind: r.Kind}
-		rc.seen[k] = -1
-	}
-	arena := make([]Race, 0, len(rc.seen))
-	for i := range rc.races {
-		r := &rc.races[i]
-		src, dst := r.Src.Resolve(), r.Dst.Resolve()
-		k := raceKey{loc: r.Loc, src: int32(src.ID), dst: int32(dst.ID), kind: r.Kind}
-		if rc.seen[k] >= 0 {
-			continue
+	out := make([]*Race, 0)
+	var (
+		arena       []Race
+		rawDst, dst *dpst.Node
+	)
+	for _, c := range rc.chunks {
+		for i := range c {
+			r := &c[i]
+			if r.Dst != rawDst {
+				rawDst = r.Dst
+				if d := rawDst.Resolve(); d != dst {
+					if dst != nil && d.ID < dst.ID {
+						panic(fmt.Sprintf("race: sink step %d reported after step %d: accesses out of depth-first order", d.ID, dst.ID))
+					}
+					dst = d
+					rc.seen.nextRun()
+				}
+			}
+			src := r.Src.Resolve()
+			if !rc.seen.insert(r.Loc, int32(src.ID), r.Kind) {
+				continue
+			}
+			if len(arena) == cap(arena) {
+				arena = make([]Race, 0, min(max(len(out), rawChunkMin), rawChunkMax))
+			}
+			arena = append(arena, Race{Src: src, Dst: dst, Loc: r.Loc, Kind: r.Kind, SrcSite: r.SrcSite, DstSite: r.DstSite})
+			out = append(out, &arena[len(arena)-1])
 		}
-		rc.seen[k] = int32(len(arena))
-		arena = append(arena, Race{Src: src, Dst: dst, Loc: r.Loc, Kind: r.Kind, SrcSite: r.SrcSite, DstSite: r.DstSite})
-	}
-	out := make([]*Race, len(arena))
-	for i := range arena {
-		out[i] = &arena[i]
 	}
 	rc.cache = out
 	return out
+}
+
+// sinkTable is the open-addressing set behind resolved(): it holds the
+// (loc, source, kind) keys of the current sink run only. Slots carry
+// the generation of the run that filled them, so starting a run is a
+// counter bump and slots of older runs read as empty.
+type sinkTable struct {
+	slots []sinkSlot
+	shift uint   // 64 - log2(len(slots))
+	gen   uint32 // current run; 0 never is, so zeroed slots are empty
+	used  int    // slots filled in the current run
+}
+
+type sinkSlot struct {
+	loc uint64
+	src int32
+	gk  uint32 // gen<<2 | kind
+}
+
+// maxSinkGen bounds the generation so gen<<2 fits in a slot.
+const maxSinkGen = 1<<30 - 1
+
+func (t *sinkTable) nextRun() {
+	if t.gen == maxSinkGen {
+		clear(t.slots)
+		t.gen = 0
+	}
+	t.gen++
+	t.used = 0
+}
+
+// insert adds the key to the current run and reports whether it was
+// new.
+func (t *sinkTable) insert(loc uint64, src int32, kind Kind) bool {
+	if 2*(t.used+1) > len(t.slots) {
+		t.grow()
+	}
+	gk := t.gen<<2 | uint32(kind)
+	mask := len(t.slots) - 1
+	for i := sinkHash(loc, src, kind) >> t.shift; ; i = (i + 1) & uint64(mask) {
+		s := &t.slots[i]
+		if s.gk>>2 != t.gen {
+			*s = sinkSlot{loc: loc, src: src, gk: gk}
+			t.used++
+			return true
+		}
+		if s.loc == loc && s.src == src && s.gk == gk {
+			return false
+		}
+	}
+}
+
+// grow doubles the table, carrying over the current run's keys.
+func (t *sinkTable) grow() {
+	old := t.slots
+	n := max(2*len(old), 64)
+	t.slots = make([]sinkSlot, n)
+	t.shift = uint(64 - bits.TrailingZeros(uint(n)))
+	t.used = 0
+	for _, s := range old {
+		if s.gk>>2 == t.gen {
+			t.insert(s.loc, s.src, Kind(s.gk&3))
+		}
+	}
+}
+
+func sinkHash(loc uint64, src int32, kind Kind) uint64 {
+	return loc*0x9E3779B97F4A7C15 ^ (uint64(uint32(src))<<2|uint64(kind))*0xC2B2AE3D27D4EB4F
 }
 
 // ----------------------------------------------------------------------
@@ -329,9 +430,8 @@ func (d *SRW) Races() []*Race { return d.rec.resolved() }
 // ShadowCells reports the number of distinct locations tracked.
 func (d *SRW) ShadowCells() int { return len(d.cells) }
 
-func (d *SRW) setOrd(ord uint64)    { d.rec.ord = ord }
-func (d *SRW) rawRaces() []Race     { return d.rec.races }
-func (d *SRW) adoptRaces(rs []Race) { d.rec.adopt(rs) }
+func (d *SRW) setOrd(ord uint64)   { d.rec.ord = ord }
+func (d *SRW) recorder() *recorder { return &d.rec }
 
 // ----------------------------------------------------------------------
 // MRW ESP-Bags
@@ -557,15 +657,13 @@ func (d *MRW) FinishEnd(n *dpst.Node) { d.oracle.FinishEnd(n) }
 // Races returns the distinct races detected.
 func (d *MRW) Races() []*Race { return d.rec.resolved() }
 
-func (d *MRW) setOrd(ord uint64)    { d.rec.ord = ord }
-func (d *MRW) rawRaces() []Race     { return d.rec.races }
-func (d *MRW) adoptRaces(rs []Race) { d.rec.adopt(rs) }
+func (d *MRW) setOrd(ord uint64)   { d.rec.ord = ord }
+func (d *MRW) recorder() *recorder { return &d.rec }
 
 // ordStamper is the sharded-analysis hook on the concrete detectors:
-// stamping the global access-op index onto raw reports, exposing the raw
-// report stream for merging, and adopting merged reports.
+// stamping the global access-op index onto raw reports, and exposing the
+// recorder whose raw stream the merge reads from or appends to.
 type ordStamper interface {
 	setOrd(ord uint64)
-	rawRaces() []Race
-	adoptRaces(rs []Race)
+	recorder() *recorder
 }

@@ -2,7 +2,6 @@ package race
 
 import (
 	"math"
-	"sort"
 	"sync"
 	"time"
 
@@ -26,11 +25,12 @@ import (
 // Determinism: every access op carries a global index (ord). A raw race
 // report is stamped with the ord of the access that produced it; ord
 // sets are disjoint across shards (one access touches one location,
-// hence one shard), so concatenating the per-shard raw streams and
-// stable-sorting by ord reconstructs exactly the serial raw-report
-// order. The merged stream is adopted into the target engine's
-// recorder, whose shared resolve/dedupe pass then yields byte-identical
-// races for any shard count, including W=1 (serial).
+// hence one shard), and each shard's raw stream is already in ord
+// order, so merging the per-shard streams by ord reconstructs exactly
+// the serial raw-report order. The merged stream is appended to the
+// target engine's recorder, whose shared resolve/dedupe pass then
+// yields byte-identical races for any shard count, including W=1
+// (serial).
 
 // Shard-op kinds.
 const (
@@ -370,21 +370,14 @@ func analyzeShardedFrom(run func(trace.ReplayOptions) (*trace.Result, error), ev
 		return nil, rerr
 	}
 
-	// Deterministic merge: concatenate the per-shard raw reports and
-	// stable-sort by global op index — ords are disjoint across shards
-	// and reports from one op keep their scan order, so this is exactly
-	// the serial raw stream. Adopt before releasing the shard detectors
-	// (adopt copies; Release zeroes the source arenas).
-	total := 0
-	for _, d := range dets {
-		total += len(d.(ordStamper).rawRaces())
+	// Deterministic merge into the target engine's recorder, before the
+	// shard detectors are released (the merge copies; Release zeroes the
+	// source arenas).
+	srcs := make([]*recorder, len(dets))
+	for i, d := range dets {
+		srcs[i] = d.(ordStamper).recorder()
 	}
-	merged := make([]Race, 0, total)
-	for _, d := range dets {
-		merged = append(merged, d.(ordStamper).rawRaces()...)
-	}
-	sort.SliceStable(merged, func(i, j int) bool { return merged[i].ord < merged[j].ord })
-	f.Detector.(ordStamper).adoptRaces(merged)
+	mergeRaw(f.Detector.(ordStamper).recorder(), srcs)
 
 	for i, d := range dets {
 		if s, ok := d.(ShadowSizer); ok {
@@ -400,4 +393,37 @@ func analyzeShardedFrom(run func(trace.ReplayOptions) (*trace.Result, error), ev
 	mAnalyzeShards.Set(int64(shards))
 	observeAnalysis(f, rr, time.Since(t0))
 	return rr, nil
+}
+
+// mergeRaw appends the shards' raw report streams to dst in global op
+// order. Each stream is sorted by ord and ords are disjoint across
+// shards; reports sharing an ord come from one access, hence one shard,
+// and keep their scan order.
+func mergeRaw(dst *recorder, srcs []*recorder) {
+	type cursor struct {
+		chunks [][]Race
+		c, i   int
+	}
+	var curs []cursor
+	for _, s := range srcs {
+		if s.n > 0 {
+			curs = append(curs, cursor{chunks: s.chunks})
+		}
+	}
+	for len(curs) > 0 {
+		best := 0
+		for j := 1; j < len(curs); j++ {
+			if curs[j].chunks[curs[j].c][curs[j].i].ord < curs[best].chunks[curs[best].c][curs[best].i].ord {
+				best = j
+			}
+		}
+		cu := &curs[best]
+		dst.add(cu.chunks[cu.c][cu.i])
+		if cu.i++; cu.i == len(cu.chunks[cu.c]) {
+			cu.c, cu.i = cu.c+1, 0
+			if cu.c == len(cu.chunks) {
+				curs = append(curs[:best], curs[best+1:]...)
+			}
+		}
+	}
 }

@@ -301,6 +301,7 @@ func repairReExecute(prog *ast.Program, opts Options) (*Report, error) {
 		if opts.UseTraceFiles {
 			ioSpan := iterSpan.Child("trace-io")
 			var buf bytes.Buffer
+			buf.Grow(race.TraceSize(len(races)))
 			err = guard.Protect("trace-io", func() error {
 				opts.Meter.SetPhase("trace-io")
 				if err := faults.Inject(faults.TraceIO); err != nil {
@@ -623,6 +624,7 @@ func repairReplay(prog *ast.Program, opts Options) (*Report, error) {
 		if opts.UseTraceFiles {
 			ioSpan := iterSpan.Child("trace-io")
 			var buf bytes.Buffer
+			buf.Grow(race.TraceSize(len(races)))
 			err = guard.Protect("trace-io", func() error {
 				opts.Meter.SetPhase("trace-io")
 				if err := faults.Inject(faults.TraceIO); err != nil {
