@@ -29,7 +29,7 @@ bench:
 # Regenerate the detect-engine comparison: capture cost vs per-engine
 # trace-replay analysis cost (time and allocs), as JSON.
 bench-detect:
-	$(GO) test -run '^$$' -bench BenchmarkDetectEngines -benchmem -benchtime 3x . \
+	$(GO) test -run '^$$' -bench BenchmarkDetectEngines -benchmem -benchtime 3x ./internal/race \
 		| awk -f scripts/benchjson.awk > BENCH_detect.json
 
 # Regression gate: re-run the detect-engine benchmarks into a scratch
@@ -38,7 +38,7 @@ bench-detect:
 # -parallel-wins, that every both-jN stage in the fresh numbers beats
 # its serial both stage within the noise floor.
 bench-diff:
-	$(GO) test -run '^$$' -bench BenchmarkDetectEngines -benchmem -benchtime 3x . \
+	$(GO) test -run '^$$' -bench BenchmarkDetectEngines -benchmem -benchtime 3x ./internal/race \
 		| awk -f scripts/benchjson.awk > BENCH_detect.new.json
 	$(GO) run ./scripts/benchdiff -parallel-wins BENCH_detect.json BENCH_detect.new.json
 

@@ -16,8 +16,9 @@
 // -detector picks the detector: "mrw" (default) and "srw" select the
 // ESP-Bags variant; "espbags", "vc", and "both" select the analysis
 // engine replayed over the captured event trace — ESP-Bags, the
-// vector-clock detector, or both in lockstep. With "both" any race-set
-// disagreement between the engines aborts the repair with exit code 5.
+// vector-clock detector, or both in lockstep. With "both" every
+// ordering query of the detection scan is answered by both oracles, and
+// any disagreement aborts the repair with exit code 5.
 //
 // -strategy picks how each race group is eliminated: "finish" inserts
 // finish statements (the paper's repair), "isolated" (alias "iso")
@@ -28,10 +29,11 @@
 // and keeps the one with the shorter post-repair critical path. The
 // -explain record documents every choice (candidate spans and why).
 //
-// -j N parallelizes the analysis: with "-detector both" the two engines
-// analyze the captured trace concurrently, and the independent
-// per-NS-LCA finish-placement problems are solved on a worker pool of N
-// goroutines. The repaired program is byte-identical for any N.
+// -j N parallelizes the analysis: the first detection round overlaps
+// capture with analysis, "-detector both" shards its scan across N
+// workers, and the independent per-NS-LCA finish-placement problems are
+// solved on a worker pool of N goroutines. The repaired program is
+// byte-identical for any N.
 //
 // Robustness: -timeout bounds the wall-clock time of the whole pipeline
 // and -max-dp-states bounds the dynamic-programming states explored by
@@ -75,7 +77,7 @@
 // Exit codes: 0 repaired (or already race-free), 1 error, 2 usage,
 // 3 the iteration bound was exhausted with races remaining, 4 a
 // resource budget (wall clock, ops, DP states) was exhausted or the run
-// was canceled, 5 the differential detector engines disagreed
+// was canceled, 5 the ESP-Bags and vector-clock oracles disagreed
 // (-detector both), 7 adversarial replay found a divergence that
 // survives the repair: the verification diverged, or the iteration
 // bound was exhausted with at least one witnessed race.
@@ -96,8 +98,8 @@ import (
 // exitMaxIterations is the distinct exit code for a repair that ran out
 // of iterations before reaching race-freedom; exitBudgetExceeded for a
 // run stopped by a resource budget or cancellation; exitDisagreement
-// for differential detector engines (-detector both) reporting
-// different race sets.
+// for the two oracles of -detector both answering an ordering query
+// differently.
 // exitAdversary reports a divergence that survives the repair: either
 // the post-repair adversarial verification diverged from the serial
 // oracle, or the iteration bound was exhausted with at least one race
@@ -112,7 +114,7 @@ const (
 func main() {
 	detector := flag.String("detector", "mrw", "race detector: mrw|srw (ESP-Bags variant) or espbags|vc|both (trace-analysis engine)")
 	strategy := flag.String("strategy", "auto", "repair strategy per race group: finish|isolated|auto; \"iso\" is accepted as an alias of isolated (auto picks the shorter post-repair critical path)")
-	workers := flag.Int("j", 1, "analysis parallelism: concurrent detector engines, per-NS-LCA DP workers and adversarial verification schedules (output is identical for any value)")
+	workers := flag.Int("j", 1, "analysis parallelism: sharded -detector both scan, per-NS-LCA DP workers and adversarial verification schedules (output is identical for any value)")
 	out := flag.String("o", "", "write repaired program to this file (default stdout)")
 	quiet := flag.Bool("quiet", false, "suppress the repair summary on stderr")
 	maxIter := flag.Int("max-iter", 0, "bound on detect/repair rounds (0 = default 10)")

@@ -25,8 +25,8 @@
 // For -mode detect, -detector picks the detector: "mrw" (default) and
 // "srw" select the ESP-Bags variant; "espbags", "vc", and "both" select
 // the engine that analyzes the captured event trace — ESP-Bags, the
-// vector-clock detector, or both in lockstep. With "both" any race-set
-// disagreement between the engines exits with code 5.
+// vector-clock detector, or both in lockstep. With "both" any
+// disagreement between the two oracles exits with code 5.
 //
 // Observability: -trace writes a Chrome trace_event JSON of the phases
 // (parse, sem-check, and the run/detect phase), -jsonl a JSONL event
@@ -51,8 +51,8 @@ import (
 
 // exitBudgetExceeded is the distinct exit code for a run stopped by a
 // resource budget (wall clock, ops) or cancellation; exitDisagreement
-// for differential detector engines (-detector both) reporting
-// different race sets; exitAdversary for a -mode stress run whose
+// for the two oracles of -detector both answering an ordering query
+// differently; exitAdversary for a -mode stress run whose
 // program diverged from the serial oracle under some schedule.
 const (
 	exitBudgetExceeded = 4

@@ -107,26 +107,13 @@ func Analyze(tr *trace.Trace, prog *ast.Program, fins []trace.FinishRange, det D
 	return rr, nil
 }
 
-// observeShadow records shadow-memory sizes per engine: a differential
-// run contributes one histogram sample per backend instead of
-// last-writer-wins.
-func observeShadow(det Detector) {
-	if d, ok := det.(*Differential); ok {
-		for _, c := range d.EngineShadowCells() {
-			mShadowCells.Observe(int64(c))
-		}
-		return
-	}
-	if s, ok := det.(ShadowSizer); ok {
-		mShadowCells.Observe(int64(s.ShadowCells()))
-	}
-}
-
 // observeAnalysis records the per-analysis metrics shared by the serial,
 // sharded, and streamed paths.
 func observeAnalysis(det Detector, rr *trace.Result, elapsed time.Duration) {
 	mAnalyzeNs.Observe(elapsed.Nanoseconds())
-	observeShadow(det)
+	if s, ok := det.(ShadowSizer); ok {
+		mShadowCells.Observe(int64(s.ShadowCells()))
+	}
 	mDetectRuns.Inc()
 	n := int64(len(det.Races()))
 	mRacesFound.Add(n)
@@ -142,8 +129,8 @@ func observeAnalysis(det Detector, rr *trace.Result, elapsed time.Duration) {
 	}
 }
 
-// recorderOf returns the recorder behind det's Races() (the primary
-// engine's for a differential run), or nil for a detector without one.
+// recorderOf returns the recorder behind det's Races(), or nil for a
+// detector without one.
 func recorderOf(det Detector) *recorder {
 	switch d := det.(type) {
 	case ordStamper:
@@ -152,8 +139,6 @@ func recorderOf(det Detector) *recorder {
 		return recorderOf(d.Detector)
 	case *Fused:
 		return recorderOf(d.Detector)
-	case *Differential:
-		return recorderOf(d.primary)
 	}
 	return nil
 }
@@ -247,20 +232,12 @@ func CaptureAnalyzeStreamed(info *sem.Info, fins []trace.FinishRange, det Detect
 // once. The returned result carries the replayed S-DPST (the tree the
 // detector's races reference).
 func Detect(info *sem.Info, v Variant, o Oracle) (*interp.Result, Detector, error) {
-	return DetectWith(info, v, o, nil)
-}
-
-// DetectWith is Detect threaded with the pipeline's shared budget meter:
-// the instrumented execution charges its work units against the
-// cumulative op budget, honors the S-DPST node bound, and aborts with a
-// typed error on cancellation or deadline. A nil meter is unlimited.
-func DetectWith(info *sem.Info, v Variant, o Oracle, m *guard.Meter) (*interp.Result, Detector, error) {
-	res, tr, err := Capture(info, m)
+	res, tr, err := Capture(info, nil)
 	if err != nil {
 		return res, nil, err
 	}
 	det := New(v, o)
-	rr, err := Analyze(tr, info.Prog, nil, det, m, false)
+	rr, err := Analyze(tr, info.Prog, nil, det, nil, false)
 	if err != nil {
 		return res, det, err
 	}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -51,11 +52,15 @@ func fuzzCorpusSeeds(t *testing.T) map[string]string {
 	return seeds
 }
 
-// checkEnginesAgree captures src once and analyzes the trace with the
-// differential engine under both variants and both collapse policies;
-// any race-set disagreement between ESP-Bags and the vector-clock
-// engine fails. Programs that exceed the op budget (e.g. corpus seeds
-// with infinite loops) or fail semantic checks are skipped.
+// checkEnginesAgree captures src once and analyzes the trace under both
+// variants and both collapse policies with two engines: the test-only
+// independent pair (complete ESP-Bags and vector-clock detectors whose
+// race sets are compared afterwards) and the production fused engine
+// that -detector both builds. The pair must agree, the fused engine's
+// per-query cross-check must be clean, and its race stream, order
+// included, must equal the pair's. Programs that exceed the op budget
+// (e.g. corpus seeds with infinite loops) or fail semantic checks are
+// skipped.
 func checkEnginesAgree(t *testing.T, name, src string) {
 	t.Helper()
 	prog, err := parser.Parse(src)
@@ -75,14 +80,25 @@ func checkEnginesAgree(t *testing.T, name, src string) {
 	}
 	for _, v := range []race.Variant{race.VariantSRW, race.VariantMRW} {
 		for _, noCollapse := range []bool{false, true} {
-			eng := race.NewEngine(race.EngineBoth, v)
-			if _, err := race.Analyze(tr, info.Prog, nil, eng, nil, noCollapse); err != nil {
+			ref := race.NewDifferential(race.NewEngine(race.EngineESPBags, v), race.NewEngine(race.EngineVC, v))
+			if _, err := race.Analyze(tr, info.Prog, nil, ref, nil, noCollapse); err != nil {
 				t.Fatalf("%s (%s, noCollapse=%v): %v", name, v, noCollapse, err)
 			}
-			d := eng.(*race.Differential)
-			if err := d.Check(); err != nil {
+			if err := ref.Check(); err != nil {
 				t.Errorf("%s (%s, noCollapse=%v): %v", name, v, noCollapse, err)
 			}
+			fused := race.NewEngine(race.EngineBoth, v).(*race.Fused)
+			if _, err := race.Analyze(tr, info.Prog, nil, fused, nil, noCollapse); err != nil {
+				t.Fatalf("%s (%s, noCollapse=%v): fused: %v", name, v, noCollapse, err)
+			}
+			if err := fused.Check(); err != nil {
+				t.Errorf("%s (%s, noCollapse=%v): fused cross-check: %v", name, v, noCollapse, err)
+			}
+			if want, got := seqFingerprint(ref), seqFingerprint(fused); !reflect.DeepEqual(want, got) {
+				t.Errorf("%s (%s, noCollapse=%v): race streams differ:\nreference %v\nfused     %v", name, v, noCollapse, want, got)
+			}
+			fused.Release()
+			ref.Release()
 		}
 	}
 }
@@ -90,7 +106,8 @@ func checkEnginesAgree(t *testing.T, name, src string) {
 // TestEnginesAgreeOnBenchPrograms is the differential property over the
 // paper's benchmark suite: for every program, ESP-Bags and the
 // vector-clock detector must report identical race sets — same
-// variables, same access pairs, same NS-LCA groups.
+// variables, same access pairs, same NS-LCA groups — and the fused
+// engine must report exactly the same race stream.
 func TestEnginesAgreeOnBenchPrograms(t *testing.T) {
 	for _, b := range bench.All() {
 		b := b

@@ -15,3 +15,7 @@ func Reresolve(det Detector) []*Race {
 // RawReports is the length of the raw report stream behind det's
 // Races().
 func RawReports(det Detector) int { return recorderOf(det).n }
+
+// ShardCells is the shadow-cell count f's sharded scans contributed:
+// zero unless AnalyzeParallel actually sharded the analysis.
+func ShardCells(f *Fused) int { return f.shardCells }

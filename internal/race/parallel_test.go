@@ -1,8 +1,8 @@
 package race_test
 
 import (
-	"fmt"
-	"sort"
+	"reflect"
+	"runtime"
 	"testing"
 
 	"finishrepair/internal/bench"
@@ -12,23 +12,11 @@ import (
 	"finishrepair/internal/race"
 )
 
-// raceFingerprint renders a detector's races as a sorted,
-// tree-independent fingerprint: replay assigns node IDs
-// deterministically, so IDs are comparable across separate analyses of
-// the same trace.
-func raceFingerprint(det race.Detector) []string {
-	var out []string
-	for _, r := range det.Races() {
-		out = append(out, fmt.Sprintf("%s:%d->%d@%d", r.Kind, r.Src.ID, r.Dst.ID, r.Loc))
-	}
-	sort.Strings(out)
-	return out
-}
-
-// TestAnalyzeParallelMatchesSerial runs the differential engine over the
-// same captured trace serially and with engine-level parallelism and
-// requires identical race sets: the concurrent replays must not perturb
-// detection, and the cross-check must still pass on both.
+// TestAnalyzeParallelMatchesSerial analyzes the same captured trace
+// with the -detector both engine serially and through AnalyzeParallel
+// with four workers, which shards the fused scan whenever more than one
+// CPU is available, and requires the identical race stream, order
+// included, with a clean cross-check on both sides.
 func TestAnalyzeParallelMatchesSerial(t *testing.T) {
 	for _, b := range bench.All() {
 		b := b
@@ -52,37 +40,34 @@ func TestAnalyzeParallelMatchesSerial(t *testing.T) {
 			if _, err := race.Analyze(tr, info.Prog, nil, serial, nil, false); err != nil {
 				t.Fatal(err)
 			}
-			if err := serial.(*race.Differential).Check(); err != nil {
+			if err := serial.(*race.Fused).Check(); err != nil {
 				t.Fatalf("serial cross-check: %v", err)
 			}
-			want := raceFingerprint(serial)
+			want := seqFingerprint(serial)
 
 			par := race.NewEngine(race.EngineBoth, race.VariantMRW)
 			if _, err := race.AnalyzeParallel(tr, info.Prog, nil, par, nil, false, 4); err != nil {
 				t.Fatal(err)
 			}
-			if err := par.(*race.Differential).Check(); err != nil {
+			f := par.(*race.Fused)
+			if err := f.Check(); err != nil {
 				t.Fatalf("parallel cross-check: %v", err)
 			}
-			got := raceFingerprint(par)
-
-			if len(got) != len(want) {
-				t.Fatalf("race count differs: serial %d, parallel %d", len(want), len(got))
+			if runtime.GOMAXPROCS(0) > 1 && race.ShardCells(f) == 0 {
+				t.Fatal("AnalyzeParallel did not shard the fused scan")
 			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("race %d differs: serial %s, parallel %s", i, want[i], got[i])
-				}
+			if got := seqFingerprint(par); !reflect.DeepEqual(want, got) {
+				t.Fatalf("race stream differs:\nserial   %v\nparallel %v", want, got)
 			}
-			if r, ok := par.(race.Releaser); ok {
-				r.Release()
-			}
+			serial.(*race.Fused).Release()
+			f.Release()
 		})
 	}
 }
 
-// TestAnalyzeParallelFallsThrough checks that a non-differential engine
-// or a worker count of 1 takes the serial path and still detects.
+// TestAnalyzeParallelFallsThrough checks that a single-oracle engine, or
+// the fused -detector both engine with one worker, takes the serial
+// path and still detects.
 func TestAnalyzeParallelFallsThrough(t *testing.T) {
 	b := bench.Get("Mergesort")
 	prog, err := parser.Parse(b.Src(b.RepairSize))
@@ -112,6 +97,9 @@ func TestAnalyzeParallelFallsThrough(t *testing.T) {
 		}
 		if len(eng.Races()) == 0 {
 			t.Fatalf("%s: expected races on stripped Mergesort", name)
+		}
+		if f, ok := eng.(*race.Fused); ok && race.ShardCells(f) != 0 {
+			t.Fatalf("%s: one worker must not shard the scan", name)
 		}
 	}
 }

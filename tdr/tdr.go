@@ -133,14 +133,14 @@ const (
 	ESPBags Engine = iota
 	// VC is the vector-clock detector (after Kumar et al.).
 	VC
-	// Both runs ESP-Bags and VC over the same replayed execution and
-	// cross-checks their race sets; any divergence surfaces as a
+	// Both answers every ordering query of one detection scan with
+	// ESP-Bags and VC in lockstep; any divergence surfaces as a
 	// *DisagreementError.
 	Both
 )
 
-// DisagreementError reports that two detector engines run over the same
-// execution produced different race sets (Engine Both). Test with
+// DisagreementError reports that the ESP-Bags and vector-clock oracles
+// answered an ordering query differently (Engine Both). Test with
 // errors.As.
 type DisagreementError = race.DisagreementError
 
@@ -252,8 +252,8 @@ func (p *Program) DetectCtx(ctx context.Context, d Detector, b Budget) (*RaceRep
 // DetectEngineCtx is DetectCtx with an explicit detector engine: the
 // program is captured once as an event trace and the trace is analyzed
 // by the chosen backend. Engine Both cross-checks ESP-Bags against the
-// vector-clock detector and fails with a *DisagreementError on any
-// race-set divergence.
+// vector-clock detector on every ordering query and fails with a
+// *DisagreementError on any divergence.
 func (p *Program) DetectEngineCtx(ctx context.Context, d Detector, e Engine, b Budget) (*RaceReport, error) {
 	m := guard.NewMeter(ctx, b)
 	v := raceVariant(d)
@@ -277,8 +277,8 @@ func (p *Program) DetectEngineCtx(ctx context.Context, d Detector, e Engine, b B
 			sp.End()
 			return err
 		}
-		if c, ok := eng.(race.Checker); ok {
-			if cerr := c.Check(); cerr != nil {
+		if f, ok := eng.(*race.Fused); ok {
+			if cerr := f.Check(); cerr != nil {
 				sp.End()
 				return cerr
 			}
@@ -342,9 +342,10 @@ type RepairOptions struct {
 	// Tracer records per-phase spans; when nil, the tracer attached by
 	// LoadTraced (if any) is used.
 	Tracer *obs.Tracer
-	// Workers bounds the analysis parallelism: with Engine Both the two
-	// detector engines analyze the captured trace concurrently, and the
-	// independent per-NS-LCA placement problems and the post-repair
+	// Workers bounds the analysis parallelism: the first detection round
+	// overlaps capture with analysis, Engine Both shards its scan across
+	// this many workers, and the independent per-NS-LCA placement
+	// problems and the post-repair
 	// adversarial verification schedules run on a worker pool of this
 	// size. The repaired program and every report are identical for any
 	// worker count. 0 or 1 is fully sequential.
