@@ -107,36 +107,26 @@ func (r *Result) Candidates() []Candidate { return r.cands }
 
 // stmtSetOf maps a (resolved) S-DPST node to the set of statement IDs
 // whose execution the node may represent: the union of all() over the
-// statements the node's static coordinates cover. Loop-header
-// pseudo-steps (StmtLo == -1) and other nodes without usable
-// coordinates climb to the nearest ancestor carrying an AST statement.
-// ok is false when no mapping exists; callers must then be
-// conservative.
+// statements the node's static coordinates cover. ok is false for
+// loop-header pseudo-steps (StmtLo == -1) and other nodes without
+// usable coordinates; callers must then be conservative.
 func (r *Result) stmtSetOf(n *dpst.Node) (bitset, bool) {
 	if n == nil {
 		return nil, false
 	}
 	n = n.Resolve()
-	if n.OwnerBlock != nil && n.StmtLo >= 0 && n.StmtHi < len(n.OwnerBlock.Stmts) {
-		set := newBitset(len(r.stmts))
-		for i := n.StmtLo; i <= n.StmtHi; i++ {
-			id, ok := r.byStmt[n.OwnerBlock.Stmts[i]]
-			if !ok {
-				return nil, false
-			}
-			set.or(r.all[id])
-		}
-		return set, true
+	if n.OwnerBlock == nil || n.StmtLo < 0 || n.StmtHi >= len(n.OwnerBlock.Stmts) {
+		return nil, false
 	}
-	for a := n; a != nil; a = a.Parent {
-		if a.Stmt != nil {
-			if id, ok := r.byStmt[a.Stmt]; ok {
-				return r.all[id], true
-			}
+	set := newBitset(len(r.stmts))
+	for i := n.StmtLo; i <= n.StmtHi; i++ {
+		id, ok := r.byStmt[n.OwnerBlock.Stmts[i]]
+		if !ok {
 			return nil, false
 		}
+		set.or(r.all[id])
 	}
-	return nil, false
+	return set, true
 }
 
 // Resolvable reports whether the node maps to a concrete statement set

@@ -99,12 +99,14 @@ func fromTree(prog *ast.Program, tree *dpst.Tree) Coverage {
 	covered := map[slot]bool{}
 	funcsRun := map[*ast.Block]bool{}
 	tree.Walk(func(n *dpst.Node) {
-		if n.Stmt != nil {
-			switch n.Stmt.(type) {
+		if (n.Kind == dpst.Async || n.Kind == dpst.Finish) && n.OwnerBlock != nil && n.StmtLo >= 0 {
+			// The construct that opened the node is its owner block's
+			// statement at StmtLo.
+			switch st := n.OwnerBlock.Stmts[n.StmtLo].(type) {
 			case *ast.AsyncStmt:
-				asyncSet[n.Stmt] = true
+				asyncSet[st] = true
 			case *ast.FinishStmt:
-				finishSet[n.Stmt] = true
+				finishSet[st] = true
 			}
 		}
 		if n.Kind == dpst.Scope && n.Class == dpst.CallScope && n.Body != nil {

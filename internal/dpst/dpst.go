@@ -21,7 +21,7 @@ import (
 )
 
 // Kind classifies S-DPST nodes.
-type Kind int
+type Kind uint8
 
 // Node kinds.
 const (
@@ -47,7 +47,7 @@ func (k Kind) String() string {
 
 // ScopeClass refines Scope nodes; it determines which finish placements
 // are statically expressible.
-type ScopeClass int
+type ScopeClass uint8
 
 // Scope classes. LoopIter marks one iteration of a loop: a finish cannot
 // enclose a proper subrange of sibling iterations.
@@ -62,19 +62,18 @@ const (
 	IsoScope // body of an isolated statement (mutual exclusion region)
 )
 
-// Node is an S-DPST node.
+// Node is an S-DPST node. The narrow classification fields sit at the
+// end so they pack into one word with Depth.
 type Node struct {
-	ID       int // depth-first visit order, unique within a tree
-	Kind     Kind
-	Class    ScopeClass
+	ID       int    // depth-first visit order, unique within a tree
 	Label    string // diagnostic: function name, "if", "while", ...
 	Parent   *Node
 	Children []*Node
-	Depth    int
 
 	// Static coordinates: the node's construct occupies statements
 	// StmtLo..StmtHi of OwnerBlock. For loop-header pseudo-steps StmtLo is
-	// -1. OwnerBlock is nil for the root.
+	// -1. OwnerBlock is nil for the root. The statement that created an
+	// async, finish, or scope node is OwnerBlock.Stmts[StmtLo].
 	OwnerBlock     *ast.Block
 	StmtLo, StmtHi int
 
@@ -82,11 +81,6 @@ type Node struct {
 	// node's children represent (function body for call scopes and async
 	// bodies, branch block for if scopes, loop body for iteration scopes).
 	Body *ast.Block
-
-	// Stmt is the AST statement that created the node, when there is one
-	// (the AsyncStmt, FinishStmt, IfStmt, loop statement, or call
-	// statement). Nil for steps and the root.
-	Stmt ast.Stmt
 
 	// Work is the node's own cost in abstract work units (nonzero only
 	// for steps); SubtreeWork aggregates the whole subtree and is filled
@@ -105,6 +99,10 @@ type Node struct {
 	// Forward is non-nil when this node was collapsed into a merged
 	// maximal step; Resolve follows the chain to the live node.
 	Forward *Node
+
+	Depth int32
+	Kind  Kind
+	Class ScopeClass
 }
 
 // Resolve follows Forward pointers to the live node that absorbed n
@@ -133,7 +131,6 @@ func (n *Node) StmtPos() string {
 type Tree struct {
 	Root   *Node
 	nextID int
-	count  int
 	// chunk is the tail of the node arena: nodes are handed out from
 	// fixed-capacity chunks so construction costs one allocation per
 	// nodeChunk nodes instead of one per node. Full chunks are abandoned
@@ -159,7 +156,6 @@ func NewTree() *Tree {
 	t := &Tree{}
 	t.Root = &Node{ID: 0, Kind: Finish, Label: "root"}
 	t.nextID = 1
-	t.count = 1
 	return t
 }
 
@@ -275,7 +271,6 @@ func (t *Tree) NewChild(parent *Node, kind Kind, class ScopeClass, label string)
 	n.StmtLo = -2
 	n.StmtHi = -2
 	t.nextID++
-	t.count++
 	parent.Children = append(parent.Children, n)
 	return n
 }

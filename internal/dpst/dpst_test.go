@@ -3,6 +3,7 @@ package dpst_test
 import (
 	"strings"
 	"testing"
+	"unsafe"
 
 	"finishrepair/internal/dpst"
 	"finishrepair/internal/interp"
@@ -204,5 +205,13 @@ func TestGeneratedTreesValidate(t *testing.T) {
 				t.Fatalf("seed %d: step %v has children", seed, n)
 			}
 		})
+	}
+}
+
+// A node is built for every step and scope the execution enters, so
+// its size bounds the tree's footprint.
+func TestNodeSize(t *testing.T) {
+	if got := unsafe.Sizeof(dpst.Node{}); got > 136 {
+		t.Errorf("dpst.Node is %d bytes, want <= 136", got)
 	}
 }

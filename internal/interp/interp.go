@@ -27,12 +27,14 @@ const (
 // Options configures a run.
 type Options struct {
 	Mode Mode
-	// Instrument enables S-DPST construction and access instrumentation.
+	// Instrument enables the step machine and access instrumentation,
+	// and builds the S-DPST unless Trace is set.
 	Instrument bool
 	// Trace, when set, captures the event-trace IR of this run: structure
 	// events, step boundaries, and memory accesses stream into the
 	// recorder so analyses can replay the execution without re-running
-	// it. Requires Instrument and the DepthFirst mode.
+	// it. The run then builds no tree: replaying the trace rebuilds it
+	// node for node. Requires Instrument and the DepthFirst mode.
 	Trace *trace.Recorder
 	// OpLimit bounds this run's work units; 0 means the shared default
 	// (guard.DefaultOpLimit), so sequential, instrumented, and parallel
@@ -51,7 +53,7 @@ type Options struct {
 
 // Result summarizes a run.
 type Result struct {
-	Tree   *dpst.Tree // nil unless instrumented
+	Tree   *dpst.Tree // nil unless instrumented; nil when a trace was recorded
 	Output string
 	Work   int64 // total work units executed
 	Steps  int   // number of step nodes (instrumented runs)
@@ -80,8 +82,11 @@ func Run(info *sem.Info, opts Options) (*Result, error) {
 		in.opLimit = guard.DefaultOpLimit
 	}
 	if opts.Instrument {
-		in.tree = dpst.NewTree()
-		in.curNode = in.tree.Root
+		in.stack = append(in.stack, sframe{allSteps: true})
+		if in.ev == nil {
+			in.tree = dpst.NewTree()
+			in.curNode = in.tree.Root
+		}
 		in.nextLoc = 1 + uint64(info.GlobalCount)
 	}
 	in.globals = make([]Value, info.GlobalCount)
@@ -120,9 +125,11 @@ func Run(info *sem.Info, opts Options) (*Result, error) {
 
 	if opts.Instrument {
 		in.endStep()
-		in.tree.AggregateWork()
-		res.Tree = in.tree
 		res.Steps = in.steps
+		if in.tree != nil {
+			in.tree.AggregateWork()
+			res.Tree = in.tree
+		}
 	}
 	res.Output = in.out.String()
 	res.Work = in.work
@@ -153,10 +160,14 @@ type interp struct {
 	nodeLimit  int64 // S-DPST node budget (0 = unlimited)
 	nodes      int64 // nodes created this run
 
-	// Instrumentation state.
-	tree    *dpst.Tree
-	curNode *dpst.Node // innermost interior node
-	curStep *dpst.Node
+	// Instrumentation state. The step machine runs on stack in every
+	// instrumented run; tree mirrors its decisions node for node unless
+	// a trace is being recorded.
+	stack   []sframe
+	inStep  bool       // a step is current
+	tree    *dpst.Tree // nil when recording a trace
+	curNode *dpst.Node // innermost interior node (tree only)
+	curStep *dpst.Node // the current step (tree only)
 	nextLoc uint64
 	steps   int
 
@@ -168,6 +179,17 @@ type interp struct {
 	// isoDepth is the lexical isolated-nesting depth of the current
 	// execution point (runtime backstop for the sem isolation check).
 	isoDepth int
+}
+
+// sframe is the step machine's view of one open interior node: enough
+// to make the trailing-merge decision of ensureStep and the collapse
+// decision of dpst.Tree.CollapseScope without the node itself.
+type sframe struct {
+	owner       *ast.Block // the node's OwnerBlock
+	collapsible bool       // a scope, and collapsing is enabled
+	allSteps    bool       // every closed child is (or collapsed into) a step
+	lastStep    bool       // the last child is a step ...
+	lastBlock   *ast.Block // ... owned by this block
 }
 
 // meterBatch is how many ticks elapse between flushes to the shared
@@ -193,10 +215,11 @@ func (in *interp) tick() {
 			}
 		}
 	}
-	if in.curStep != nil {
-		in.curStep.Work++
+	if in.inStep {
 		if in.ev != nil {
 			in.ev.AddWork(1)
+		} else {
+			in.curStep.Work++
 		}
 	}
 }
@@ -221,60 +244,70 @@ func (in *interp) ensureStep(b *ast.Block, idx int) {
 	if in.ev != nil {
 		in.ev.Step(b, idx)
 	}
-	if in.curStep == nil {
+	if !in.inStep {
+		in.inStep = true
+		top := &in.stack[len(in.stack)-1]
+		if !top.lastStep || top.lastBlock != b {
+			in.noteNode()
+			in.steps++
+			top.lastStep, top.lastBlock = true, b
+			if in.tree != nil {
+				s := in.tree.NewChild(in.curNode, dpst.Step, dpst.NotScope, "")
+				s.OwnerBlock = b
+				s.StmtLo, s.StmtHi = idx, idx
+				in.curStep = s
+			}
+			return
+		}
 		// Maximal steps: when the previous construct collapsed into a
 		// trailing step of the same block, extend it instead of starting
 		// a new one.
-		if k := len(in.curNode.Children); k > 0 {
-			last := in.curNode.Children[k-1]
-			if last.Kind == dpst.Step && last.OwnerBlock == b {
-				in.curStep = last
-			}
+		if in.tree != nil {
+			in.curStep = in.curNode.Children[len(in.curNode.Children)-1]
 		}
 	}
-	if in.curStep != nil {
-		if idx >= 0 {
-			if idx > in.curStep.StmtHi {
-				in.curStep.StmtHi = idx
-			}
-			if in.curStep.StmtLo == -2 {
-				in.curStep.StmtLo = idx
-			}
+	if in.curStep != nil && idx >= 0 {
+		if idx > in.curStep.StmtHi {
+			in.curStep.StmtHi = idx
 		}
-		return
+		if in.curStep.StmtLo == -2 {
+			in.curStep.StmtLo = idx
+		}
 	}
-	in.noteNode()
-	s := in.tree.NewChild(in.curNode, dpst.Step, dpst.NotScope, "")
-	s.OwnerBlock = b
-	s.StmtLo, s.StmtHi = idx, idx
-	in.curStep = s
-	in.steps++
 }
 
 func (in *interp) endStep() {
-	if in.curStep != nil && in.ev != nil {
+	if in.inStep && in.ev != nil {
 		in.ev.End()
 	}
+	in.inStep = false
 	in.curStep = nil
 }
 
 // pushNode opens an interior S-DPST node for the construct at statement
-// idx of block owner, whose children instantiate body.
-func (in *interp) pushNode(kind dpst.Kind, class dpst.ScopeClass, label string, stmt ast.Stmt, owner *ast.Block, idx int, body *ast.Block) *dpst.Node {
+// idx of block owner, whose children instantiate body. It returns the
+// node, or nil when no tree is being built.
+func (in *interp) pushNode(kind dpst.Kind, class dpst.ScopeClass, label string, owner *ast.Block, idx int, body *ast.Block) *dpst.Node {
 	if !in.opts.Instrument {
 		return nil
 	}
 	in.endStep()
 	in.noteNode()
+	in.stack[len(in.stack)-1].lastStep = false
+	in.stack = append(in.stack, sframe{
+		owner:       owner,
+		collapsible: kind == dpst.Scope && !in.opts.NoCollapse,
+		allSteps:    true,
+	})
+	if in.ev != nil {
+		in.ev.Push(uint8(kind), uint8(class), label, owner, idx, body)
+		return nil
+	}
 	n := in.tree.NewChild(in.curNode, kind, class, label)
 	n.OwnerBlock = owner
 	n.StmtLo, n.StmtHi = idx, idx
 	n.Body = body
-	n.Stmt = stmt
 	in.curNode = n
-	if in.ev != nil {
-		in.ev.Push(uint8(kind), uint8(class), label, owner, idx, body)
-	}
 	return n
 }
 
@@ -283,35 +316,51 @@ func (in *interp) popNode() {
 		return
 	}
 	in.endStep()
+	f := in.stack[len(in.stack)-1]
+	in.stack = in.stack[:len(in.stack)-1]
+	// Maximal steps: a scope whose subtree spawned no tasks is just
+	// sequential work — it folds into a step of its owner block (merged
+	// into the preceding step, when adjacent).
+	parent := &in.stack[len(in.stack)-1]
+	if f.collapsible && f.allSteps {
+		parent.lastStep, parent.lastBlock = true, f.owner
+	} else {
+		parent.allSteps = false
+	}
 	if in.ev != nil {
 		in.ev.Pop()
+		return
 	}
 	closing := in.curNode
-	in.curNode = in.curNode.Parent
-	// Maximal steps: a scope whose subtree spawned no tasks is just
-	// sequential work — fold it into a step (and into the preceding
-	// step, when adjacent).
+	in.curNode = closing.Parent
 	if !in.opts.NoCollapse {
 		in.tree.CollapseScope(closing)
 	}
 }
 
+// readLoc and writeLoc instrument one access to loc. When a call scope
+// ended mid-statement no step is current; the access resumes one at
+// the recorded statement site.
 func (in *interp) readLoc(loc uint64) {
-	if in.ev != nil && loc != 0 {
-		if in.curStep == nil {
-			// A call scope ended mid-statement; resume a step at the
-			// recorded statement site.
-			in.ensureStep(in.siteBlock, in.siteIdx)
-		}
+	if !in.opts.Instrument {
+		return
+	}
+	if !in.inStep {
+		in.ensureStep(in.siteBlock, in.siteIdx)
+	}
+	if in.ev != nil {
 		in.ev.Read(loc)
 	}
 }
 
 func (in *interp) writeLoc(loc uint64) {
-	if in.ev != nil && loc != 0 {
-		if in.curStep == nil {
-			in.ensureStep(in.siteBlock, in.siteIdx)
-		}
+	if !in.opts.Instrument {
+		return
+	}
+	if !in.inStep {
+		in.ensureStep(in.siteBlock, in.siteIdx)
+	}
+	if in.ev != nil {
 		in.ev.Write(loc)
 	}
 }
@@ -390,13 +439,13 @@ func (in *interp) execStmt(f *frame, b *ast.Block, idx int, s ast.Stmt) ctrl {
 		in.setCallSite(b, idx)
 		cond := in.eval(f, st.Cond)
 		if cond.Bool() {
-			in.pushNode(dpst.Scope, dpst.IfScope, "if", st, b, idx, st.Then)
+			in.pushNode(dpst.Scope, dpst.IfScope, "if", b, idx, st.Then)
 			c := in.execBlock(f, st.Then)
 			in.popNode()
 			return c
 		}
 		if st.Else != nil {
-			in.pushNode(dpst.Scope, dpst.ElseScope, "else", st, b, idx, st.Else)
+			in.pushNode(dpst.Scope, dpst.ElseScope, "else", b, idx, st.Else)
 			c := in.execBlock(f, st.Else)
 			in.popNode()
 			return c
@@ -406,9 +455,9 @@ func (in *interp) execStmt(f *frame, b *ast.Block, idx int, s ast.Stmt) ctrl {
 	case *ast.WhileStmt:
 		in.ensureStep(b, idx)
 		in.tick()
-		in.pushNode(dpst.Scope, dpst.LoopScope, "while", st, b, idx, st.Body)
+		in.pushNode(dpst.Scope, dpst.LoopScope, "while", b, idx, st.Body)
 		for {
-			in.pushNode(dpst.Scope, dpst.LoopIter, "iter", st, st.Body, -1, st.Body)
+			in.pushNode(dpst.Scope, dpst.LoopIter, "iter", st.Body, -1, st.Body)
 			in.ensureStep(st.Body, -1)
 			in.setCallSite(st.Body, -1)
 			cond := in.eval(f, st.Cond)
@@ -430,7 +479,7 @@ func (in *interp) execStmt(f *frame, b *ast.Block, idx int, s ast.Stmt) ctrl {
 	case *ast.ForStmt:
 		in.ensureStep(b, idx)
 		in.tick()
-		in.pushNode(dpst.Scope, dpst.LoopScope, "for", st, b, idx, st.Body)
+		in.pushNode(dpst.Scope, dpst.LoopScope, "for", b, idx, st.Body)
 		if st.Init != nil {
 			// The init statement is charged to a header pseudo-step of
 			// the loop scope.
@@ -441,7 +490,7 @@ func (in *interp) execStmt(f *frame, b *ast.Block, idx int, s ast.Stmt) ctrl {
 			in.endStep()
 		}
 		for {
-			in.pushNode(dpst.Scope, dpst.LoopIter, "iter", st, st.Body, -1, st.Body)
+			in.pushNode(dpst.Scope, dpst.LoopIter, "iter", st.Body, -1, st.Body)
 			if st.Cond != nil {
 				in.ensureStep(st.Body, -1)
 				in.setCallSite(st.Body, -1)
@@ -478,7 +527,7 @@ func (in *interp) execStmt(f *frame, b *ast.Block, idx int, s ast.Stmt) ctrl {
 		}
 		in.ensureStep(b, idx)
 		in.tick()
-		in.pushNode(dpst.Async, dpst.NotScope, "async", st, b, idx, st.Body)
+		in.pushNode(dpst.Async, dpst.NotScope, "async", b, idx, st.Body)
 		if in.opts.Mode == Elide {
 			c := in.execBlock(f, st.Body)
 			in.popNode()
@@ -500,7 +549,7 @@ func (in *interp) execStmt(f *frame, b *ast.Block, idx int, s ast.Stmt) ctrl {
 		if in.isoDepth > 0 {
 			throwf("finish not allowed inside isolated at %s", st.FinishPos)
 		}
-		in.pushNode(dpst.Finish, dpst.NotScope, "finish", st, b, idx, st.Body)
+		in.pushNode(dpst.Finish, dpst.NotScope, "finish", b, idx, st.Body)
 		c := in.execBlock(f, st.Body)
 		in.popNode()
 		return c
@@ -511,7 +560,7 @@ func (in *interp) execStmt(f *frame, b *ast.Block, idx int, s ast.Stmt) ctrl {
 		// Serially the body just runs inline; the IsoScope class marks the
 		// region so collapse attributes its work as serialized IsoWork.
 		in.isoDepth++
-		if n := in.pushNode(dpst.Scope, dpst.IsoScope, "isolated", st, b, idx, st.Body); n != nil {
+		if n := in.pushNode(dpst.Scope, dpst.IsoScope, "isolated", b, idx, st.Body); n != nil {
 			n.IsoClass = st.LockClass
 		}
 		c := in.execBlock(f, st.Body)
@@ -522,7 +571,7 @@ func (in *interp) execStmt(f *frame, b *ast.Block, idx int, s ast.Stmt) ctrl {
 	case *ast.BlockStmt:
 		in.ensureStep(b, idx)
 		in.tick()
-		in.pushNode(dpst.Scope, dpst.BlockScope, "block", st, b, idx, st.Body)
+		in.pushNode(dpst.Scope, dpst.BlockScope, "block", b, idx, st.Body)
 		c := in.execBlock(f, st.Body)
 		in.popNode()
 		return c
@@ -643,7 +692,7 @@ func (in *interp) setCallSite(b *ast.Block, idx int) {
 }
 
 func (in *interp) callFunc(fn *ast.FuncDecl, args []Value, siteBlock *ast.Block, siteIdx int) Value {
-	in.pushNode(dpst.Scope, dpst.CallScope, fn.Name, nil, siteBlock, siteIdx, fn.Body)
+	in.pushNode(dpst.Scope, dpst.CallScope, fn.Name, siteBlock, siteIdx, fn.Body)
 	nf := &frame{slots: make([]Value, in.info.FrameSize[fn])}
 	copy(nf.slots, args)
 	c := in.execBlock(nf, fn.Body)

@@ -63,7 +63,8 @@ func New(v Variant, o Oracle) Detector {
 // checked program once, recording the event-trace IR. The returned
 // trace can then be analyzed any number of times — by different
 // engines, with different collapse policies, or with virtual finish
-// scopes injected — without re-executing the program.
+// scopes injected — without re-executing the program. Capture builds
+// no S-DPST (the result's Tree is nil); replay builds it.
 func Capture(info *sem.Info, m *guard.Meter) (*interp.Result, *trace.Trace, error) {
 	m.SetPhase("trace-capture")
 	if err := faults.Inject(faults.Detect); err != nil {
@@ -150,7 +151,8 @@ func recorderOf(det Detector) *recorder {
 // consumer is the sharded scan (analysis parallelism stacks on the
 // capture overlap); otherwise a single streaming replay feeds det. The
 // returned trace is the complete capture, replayable by later
-// iterations exactly like Capture's. A capture error wins over the
+// iterations exactly like Capture's, and the returned interp.Result
+// has no tree, as with Capture. A capture error wins over the
 // analysis error it induces downstream.
 func CaptureAnalyzeStreamed(info *sem.Info, fins []trace.FinishRange, det Detector, m *guard.Meter, noCollapse bool, workers int) (*interp.Result, *trace.Trace, *trace.Result, error) {
 	s := trace.NewStream()

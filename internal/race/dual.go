@@ -37,10 +37,11 @@ func (d *OracleDivergence) String() string {
 
 // DualOracle drives the ESP-Bags and vector-clock oracles in lockstep
 // over one replayed execution and cross-checks every Ordered answer.
-// The recorded tag is the vector-clock epoch (task node ID in the high
+// The recorded tag is the vector-clock epoch (task ordinal in the high
 // half, own-component count in the low half); ESP-Bags needs only the
-// task ID, which it recovers from the high half, so one uint64 tag
-// serves both backends and the shadow memory does not grow.
+// task ordinal, which both oracles number alike, so it recovers it from
+// the high half: one uint64 tag serves both backends and the shadow
+// memory does not grow.
 type DualOracle struct {
 	bags *BagsOracle
 	vc   *VCOracle
@@ -80,7 +81,7 @@ func (o *DualOracle) FinishEnd(n *dpst.Node) {
 	o.vc.FinishEnd(n)
 }
 
-// Tag returns the vector-clock epoch; its high half is the task node ID
+// Tag returns the vector-clock epoch; its high half is the task ordinal
 // the ESP-Bags side queries by.
 func (o *DualOracle) Tag() uint64 { return o.vc.Tag() }
 

@@ -60,14 +60,17 @@ func fuzzCorpusSeeds(t *testing.T) map[string]string {
 // per-query cross-check must be clean, and its race stream, order
 // included, must equal the pair's. Programs that exceed the op budget
 // (e.g. corpus seeds with infinite loops) or fail semantic checks are
-// skipped.
-func checkEnginesAgree(t *testing.T, name, src string) {
+// skipped. Finishes are stripped unless keepFinishes is set, which
+// brings FinishStart events (and their oracle ordinals) into the trace.
+func checkEnginesAgree(t *testing.T, name, src string, keepFinishes bool) {
 	t.Helper()
 	prog, err := parser.Parse(src)
 	if err != nil {
 		return
 	}
-	ast.StripFinishes(prog)
+	if !keepFinishes {
+		ast.StripFinishes(prog)
+	}
 	info, err := sem.Check(prog)
 	if err != nil {
 		return
@@ -107,13 +110,15 @@ func checkEnginesAgree(t *testing.T, name, src string) {
 // paper's benchmark suite: for every program, ESP-Bags and the
 // vector-clock detector must report identical race sets — same
 // variables, same access pairs, same NS-LCA groups — and the fused
-// engine must report exactly the same race stream.
+// engine must report exactly the same race stream. Each program runs
+// stripped and as written.
 func TestEnginesAgreeOnBenchPrograms(t *testing.T) {
 	for _, b := range bench.All() {
 		b := b
 		t.Run(b.Name, func(t *testing.T) {
 			t.Parallel()
-			checkEnginesAgree(t, b.Name, b.Src(b.RepairSize))
+			checkEnginesAgree(t, b.Name, b.Src(b.RepairSize), false)
+			checkEnginesAgree(t, b.Name+" (as written)", b.Src(b.RepairSize), true)
 		})
 	}
 }
@@ -125,7 +130,7 @@ func TestEnginesAgreeOnFuzzCorpus(t *testing.T) {
 		name, src := name, src
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			checkEnginesAgree(t, name, src)
+			checkEnginesAgree(t, name, src, false)
 		})
 	}
 }
@@ -137,7 +142,7 @@ func TestEnginesAgreeOnGeneratedPrograms(t *testing.T) {
 		seed := seed
 		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
 			t.Parallel()
-			checkEnginesAgree(t, fmt.Sprintf("progen-%d", seed), progen.Gen(seed, progen.Default()))
+			checkEnginesAgree(t, fmt.Sprintf("progen-%d", seed), progen.Gen(seed, progen.Default()), false)
 		})
 	}
 }

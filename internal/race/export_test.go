@@ -19,3 +19,6 @@ func RawReports(det Detector) int { return recorderOf(det).n }
 // ShardCells is the shadow-cell count f's sharded scans contributed:
 // zero unless AnalyzeParallel actually sharded the analysis.
 func ShardCells(f *Fused) int { return f.shardCells }
+
+// BagsElements is the length of b's union-find arrays.
+func BagsElements(b *BagsOracle) int { return len(b.parent) }

@@ -55,15 +55,19 @@ func (*DPSTOracle) Ordered(_ uint64, prevStep, curStep *dpst.Node) bool {
 // the set holding its task is S-marked. Amortized near-O(1) per query
 // via union-find with path compression and union by size.
 //
-// S-bags and P-bags are distinct union-find elements: element 2*ID is
-// node ID's S-bag identity, 2*ID+1 its P-bag identity.
+// Tasks and finishes are numbered by structure ordinal: the k'th
+// TaskStart or FinishStart (in arrival order) is ordinal k. Its S-bag
+// is union-find element 2k and its P-bag element 2k+1, so the arrays
+// hold 2 × (tasks + finishes) elements, however many steps and scopes
+// the tree has. Every replay of one trace delivers the same structure
+// events, so ordinals agree across replays and shards.
 type BagsOracle struct {
 	parent []int32
 	size   []int32
 	isP    []bool
 
-	taskStack   []*dpst.Node
-	finishStack []*dpst.Node
+	taskStack   []int32 // ordinals of the open tasks
+	finishStack []int32 // ordinals of the open finishes
 }
 
 var bagsPool = sync.Pool{New: func() any { return new(BagsOracle) }}
@@ -74,15 +78,16 @@ var bagsPool = sync.Pool{New: func() any { return new(BagsOracle) }}
 // Release (optional, usually via the owning detector) recycles it.
 func NewBagsOracle() *BagsOracle { return bagsPool.Get().(*BagsOracle) }
 
-func sBag(n *dpst.Node) int32 { return int32(2 * n.ID) }
-func pBag(n *dpst.Node) int32 { return int32(2*n.ID + 1) }
+func sBag(ord int32) int32 { return 2 * ord }
+func pBag(ord int32) int32 { return 2*ord + 1 }
 
-func (b *BagsOracle) ensure(id int32) {
-	for len(b.parent) <= int(id) {
-		b.parent = append(b.parent, int32(len(b.parent)))
-		b.size = append(b.size, 1)
-		b.isP = append(b.isP, false)
-	}
+// open numbers the next task or finish and adds its S- and P-bags.
+func (b *BagsOracle) open() int32 {
+	ord := int32(len(b.parent) / 2)
+	b.parent = append(b.parent, 2*ord, 2*ord+1)
+	b.size = append(b.size, 1, 1)
+	b.isP = append(b.isP, false, false)
+	return ord
 }
 
 func (b *BagsOracle) find(x int32) int32 {
@@ -112,42 +117,43 @@ func (b *BagsOracle) union(x, y int32, p bool) {
 }
 
 // TaskStart handles the start of a task (async instance or the root).
-func (b *BagsOracle) TaskStart(n *dpst.Node) {
-	b.ensure(pBag(n))
-	b.taskStack = append(b.taskStack, n)
+func (b *BagsOracle) TaskStart(*dpst.Node) {
+	ord := b.open()
+	b.taskStack = append(b.taskStack, ord)
 	if len(b.taskStack) == 1 {
 		// The root task doubles as the outermost implicit finish.
-		b.finishStack = append(b.finishStack, n)
+		b.finishStack = append(b.finishStack, ord)
 	}
 }
 
 // TaskEnd merges the ended task's S-bag into the P-bag of its
 // immediately enclosing finish.
-func (b *BagsOracle) TaskEnd(n *dpst.Node) {
+func (b *BagsOracle) TaskEnd(*dpst.Node) {
+	task := b.taskStack[len(b.taskStack)-1]
 	b.taskStack = b.taskStack[:len(b.taskStack)-1]
 	if len(b.taskStack) == 0 {
 		return // root task end; detection is over
 	}
 	ief := b.finishStack[len(b.finishStack)-1]
-	b.union(pBag(ief), sBag(n), true)
+	b.union(pBag(ief), sBag(task), true)
 }
 
 // FinishStart opens a finish scope.
-func (b *BagsOracle) FinishStart(n *dpst.Node) {
-	b.ensure(pBag(n))
-	b.finishStack = append(b.finishStack, n)
+func (b *BagsOracle) FinishStart(*dpst.Node) {
+	b.finishStack = append(b.finishStack, b.open())
 }
 
 // FinishEnd merges the finish's P-bag into the current task's S-bag.
-func (b *BagsOracle) FinishEnd(n *dpst.Node) {
+func (b *BagsOracle) FinishEnd(*dpst.Node) {
+	fin := b.finishStack[len(b.finishStack)-1]
 	b.finishStack = b.finishStack[:len(b.finishStack)-1]
 	cur := b.taskStack[len(b.taskStack)-1]
-	b.union(sBag(cur), pBag(n), false)
+	b.union(sBag(cur), pBag(fin), false)
 }
 
-// Tag returns the current task's node ID (its S-bag is element 2*ID).
+// Tag returns the current task's ordinal (its S-bag is element 2*ord).
 func (b *BagsOracle) Tag() uint64 {
-	return uint64(b.taskStack[len(b.taskStack)-1].ID)
+	return uint64(b.taskStack[len(b.taskStack)-1])
 }
 
 // Ordered reports whether the earlier access by prevTag's task is ordered
@@ -166,9 +172,7 @@ func (b *BagsOracle) Release() {
 	b.parent = b.parent[:0]
 	b.size = b.size[:0]
 	b.isP = b.isP[:0]
-	clear(b.taskStack)
 	b.taskStack = b.taskStack[:0]
-	clear(b.finishStack)
 	b.finishStack = b.finishStack[:0]
 	bagsPool.Put(b)
 }

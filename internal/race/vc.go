@@ -13,7 +13,7 @@ import (
 // access happens-before the current point iff the current task's clock
 // has caught up with that epoch.
 
-// vclock is a sparse vector clock keyed by task (S-DPST node) ID.
+// vclock is a sparse vector clock keyed by task ordinal.
 type vclock map[int32]uint32
 
 // join raises dst to the pointwise maximum of dst and src.
@@ -44,18 +44,22 @@ type vcTask struct {
 //     the task increments its own component.
 //
 // The root task doubles as the outermost implicit finish, exactly as in
-// the ESP-Bags oracle.
+// the ESP-Bags oracle. Tasks are keyed by the ESP-Bags structure
+// ordinal (the k'th TaskStart or FinishStart is ordinal k), so a
+// vector-clock epoch's task half also names the task's ESP-Bags sets.
 type VCOracle struct {
 	tasks []vcTask
 	acc   []vclock // finish-frame accumulators, innermost last
+	next  int32    // ordinal of the next task or finish
 }
 
 // NewVCOracle returns an empty vector-clock oracle.
 func NewVCOracle() *VCOracle { return &VCOracle{} }
 
 // TaskStart handles the start of a task (async instance or the root).
-func (o *VCOracle) TaskStart(n *dpst.Node) {
-	id := int32(n.ID)
+func (o *VCOracle) TaskStart(*dpst.Node) {
+	id := o.next
+	o.next++
 	if len(o.tasks) == 0 {
 		o.tasks = append(o.tasks, vcTask{id: id, clock: vclock{id: 1}})
 		// The root task doubles as the outermost implicit finish.
@@ -83,7 +87,8 @@ func (o *VCOracle) TaskEnd(n *dpst.Node) {
 }
 
 // FinishStart opens a finish scope with an empty join accumulator.
-func (o *VCOracle) FinishStart(n *dpst.Node) {
+func (o *VCOracle) FinishStart(*dpst.Node) {
+	o.next++
 	o.acc = append(o.acc, vclock{})
 }
 
@@ -98,7 +103,7 @@ func (o *VCOracle) FinishEnd(n *dpst.Node) {
 }
 
 // Tag returns the current task's epoch packed into a uint64:
-// task ID in the high half, own-component count in the low half.
+// task ordinal in the high half, own-component count in the low half.
 func (o *VCOracle) Tag() uint64 {
 	cur := &o.tasks[len(o.tasks)-1]
 	return uint64(uint32(cur.id))<<32 | uint64(cur.clock[cur.id])

@@ -374,6 +374,7 @@ func Repair(prog *ast.Program, opts Options) (*Report, error) {
 			ioSpan := iterSpan.Child("trace-io")
 			var buf bytes.Buffer
 			buf.Grow(race.TraceSize(len(races)))
+			traceBytes := 0
 			err = guard.Protect("trace-io", func() error {
 				opts.Meter.SetPhase("trace-io")
 				if err := faults.Inject(faults.TraceIO); err != nil {
@@ -382,12 +383,14 @@ func Repair(prog *ast.Program, opts Options) (*Report, error) {
 				if err := race.WriteTrace(&buf, races); err != nil {
 					return err
 				}
-				rep.TraceBytes += buf.Len()
+				// ReadTrace drains buf: take the size first.
+				traceBytes = buf.Len()
+				rep.TraceBytes += traceBytes
 				var rerr error
 				races, rerr = race.ReadTrace(&buf, rr.Tree)
 				return rerr
 			})
-			ioSpan.SetInt("trace_bytes", int64(buf.Len())).End()
+			ioSpan.SetInt("trace_bytes", int64(traceBytes)).End()
 			if err != nil {
 				return iterErr(err)
 			}

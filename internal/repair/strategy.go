@@ -164,6 +164,11 @@ func (ev *strategyEvaluator) choose(g *group, finishPs []Placement) ([]Placement
 func (ev *strategyEvaluator) probe(cand []Placement, g *group) (vanished bool, span int64, err error) {
 	merged, _ := mergeVirtual(ev.base, cand)
 	det := race.New(race.VariantMRW, race.NewBagsOracle())
+	if rel, ok := det.(race.Releaser); ok {
+		// Runs once the return values below are computed; the shadow
+		// state goes back to the pool for the next probe.
+		defer rel.Release()
+	}
 	rr, err := race.Analyze(ev.tr, ev.prog, merged, det, ev.meter, false)
 	if err != nil {
 		return false, 0, err

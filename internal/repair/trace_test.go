@@ -75,3 +75,38 @@ func TestRepairMaxIterationsError(t *testing.T) {
 		t.Errorf("exhausted repair lost race counts: iter=%+v err=%+v", rep.Iterations[0], mi)
 	}
 }
+
+// TestTraceIOReportsTraceBytes checks that each trace-io span records
+// the size of the race trace it round-tripped: nonzero on a racy round,
+// and summing to Report.TraceBytes over the repair.
+func TestTraceIOReportsTraceBytes(t *testing.T) {
+	tr := obs.New()
+	rep, err := repair.Repair(parser.MustParse(fibSrc), repair.Options{UseTraceFiles: true, Tracer: tr})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var spans []int64
+	for _, r := range tr.Records() {
+		if r.Name != "trace-io" {
+			continue
+		}
+		for _, a := range r.Attrs {
+			if a.Key == "trace_bytes" {
+				spans = append(spans, a.Int)
+			}
+		}
+	}
+	if len(spans) == 0 {
+		t.Fatal("no trace-io span carries trace_bytes")
+	}
+	if rep.Iterations[0].Races == 0 || spans[0] <= 0 {
+		t.Errorf("first round: %d races, trace_bytes = %d; want races and a positive size", rep.Iterations[0].Races, spans[0])
+	}
+	var sum int64
+	for _, n := range spans {
+		sum += n
+	}
+	if sum != int64(rep.TraceBytes) {
+		t.Errorf("trace_bytes over the trace-io spans = %d, Report.TraceBytes = %d", sum, rep.TraceBytes)
+	}
+}

@@ -184,8 +184,8 @@ func (t *Trace) tailWork() int64 { return t.TailWork }
 // Replay reconstructs the execution recorded in tr, feeding sink and
 // rebuilding the S-DPST. With no injected finishes the resulting tree
 // is node-for-node identical (IDs, kinds, coordinates, work) to the one
-// the instrumented execution built, because replay re-runs the same
-// step state machine the interpreter used at capture time. Injected
+// an untraced instrumented execution builds, because replay re-runs the
+// same step state machine the interpreter runs. Injected
 // finishes appear exactly where re-executing the rewritten program
 // would put them; finish statements are free in the cost model, so no
 // other node changes.

@@ -6,11 +6,13 @@ import (
 	"strings"
 	"testing"
 
+	"finishrepair/internal/bench"
 	"finishrepair/internal/cpl"
 	"finishrepair/internal/dpst"
 	"finishrepair/internal/interp"
 	"finishrepair/internal/lang/ast"
 	"finishrepair/internal/lang/parser"
+	"finishrepair/internal/lang/printer"
 	"finishrepair/internal/lang/sem"
 	"finishrepair/internal/progen"
 	"finishrepair/internal/race"
@@ -104,10 +106,23 @@ func capture(t *testing.T, src string, noCollapse bool) (*sem.Info, *interp.Resu
 	return info, res, rec.Trace()
 }
 
-// Replay with no injected finishes must rebuild a tree node-for-node
-// identical to the one the instrumented execution built, under both
-// collapse policies, for hand-written and generated programs.
-func TestReplayReconstructsTree(t *testing.T) {
+// buildTree runs the instrumented execution without a trace: the one
+// run that still builds its S-DPST while executing.
+func buildTree(t *testing.T, info *sem.Info, noCollapse bool) *interp.Result {
+	t.Helper()
+	res, err := interp.Run(info, interp.Options{
+		Mode: interp.DepthFirst, Instrument: true, NoCollapse: noCollapse,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res
+}
+
+// reconstructCorpus is the fixtures, 20 generated programs, and the 12
+// benchmarks at their repair size, both as written and stripped of
+// finishes.
+func reconstructCorpus() map[string]string {
 	srcs := make(map[string]string)
 	for _, f := range fixtures {
 		srcs[f.name] = f.src
@@ -115,23 +130,80 @@ func TestReplayReconstructsTree(t *testing.T) {
 	for seed := int64(7000); seed < 7020; seed++ {
 		srcs[fmt.Sprintf("progen-%d", seed)] = progen.Gen(seed, progen.Default())
 	}
-	for name, src := range srcs {
-		for _, noCollapse := range []bool{false, true} {
-			info, res, tr := capture(t, src, noCollapse)
-			rr, err := trace.Replay(tr, trace.ReplayOptions{
-				Prog: info.Prog, NoCollapse: noCollapse,
-			})
-			if err != nil {
-				t.Fatalf("%s (noCollapse=%v): replay: %v", name, noCollapse, err)
+	for _, b := range bench.All() {
+		src := b.Src(b.RepairSize)
+		srcs[b.Name] = src
+		prog := parser.MustParse(src)
+		ast.StripFinishes(prog)
+		srcs[b.Name+"-stripped"] = printer.Print(prog)
+	}
+	return srcs
+}
+
+// Replay with no injected finishes must rebuild, node for node, the
+// tree an untraced instrumented execution builds, under both collapse
+// policies. The traced capture itself builds no tree.
+func TestReplayReconstructsTree(t *testing.T) {
+	for name, src := range reconstructCorpus() {
+		name, src := name, src
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			for _, noCollapse := range []bool{false, true} {
+				info, res, tr := capture(t, src, noCollapse)
+				if res.Tree != nil {
+					t.Fatalf("noCollapse=%v: traced capture built a tree", noCollapse)
+				}
+				ref := buildTree(t, info, noCollapse)
+				rr, err := trace.Replay(tr, trace.ReplayOptions{
+					Prog: info.Prog, NoCollapse: noCollapse,
+				})
+				if err != nil {
+					t.Fatalf("noCollapse=%v: replay: %v", noCollapse, err)
+				}
+				if want, got := describe(ref.Tree), describe(rr.Tree); want != got {
+					t.Errorf("noCollapse=%v: replayed tree differs\n-- executed --\n%s\n-- replayed --\n%s",
+						noCollapse, clip(want), clip(got))
+				}
+				if rr.Steps != ref.Steps || res.Steps != ref.Steps {
+					t.Errorf("noCollapse=%v: steps: replay %d, capture %d, executed %d",
+						noCollapse, rr.Steps, res.Steps, ref.Steps)
+				}
+				if res.Work != ref.Work || res.Output != ref.Output {
+					t.Errorf("noCollapse=%v: capture work/output differ from the untraced run", noCollapse)
+				}
 			}
-			want, got := describe(res.Tree), describe(rr.Tree)
-			if want != got {
-				t.Errorf("%s (noCollapse=%v): replayed tree differs\n-- executed --\n%s\n-- replayed --\n%s",
-					name, noCollapse, want, got)
+		})
+	}
+}
+
+// clip shortens a tree dump for a failure message.
+func clip(s string) string {
+	if len(s) > 4000 {
+		return s[:4000] + "..."
+	}
+	return s
+}
+
+// Work executed after a call scope ends mid-statement, before the next
+// step boundary, is charged to no step. This pins the known gap on the
+// two benchmarks that show it, so a fix (which moves spans and the
+// repair goldens) is a deliberate change.
+func TestUnchargedWorkGap(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		gap  int64
+	}{{"Nqueens", 40}, {"Series", 246}} {
+		b := bench.Get(c.name)
+		info := sem.MustCheck(parser.MustParse(b.Src(b.RepairSize)))
+		res := buildTree(t, info, false)
+		var stepWork int64
+		res.Tree.Walk(func(n *dpst.Node) {
+			if n.Kind == dpst.Step {
+				stepWork += n.Work
 			}
-			if rr.Steps != res.Steps {
-				t.Errorf("%s: replay steps = %d, executed = %d", name, rr.Steps, res.Steps)
-			}
+		})
+		if got := res.Work - stepWork; got != c.gap {
+			t.Errorf("%s: run work %d - step work %d = %d, want %d", c.name, res.Work, stepWork, got, c.gap)
 		}
 	}
 }
