@@ -59,7 +59,7 @@ func BenchmarkTable2_Repair(b *testing.B) {
 				prog := parser.MustParse(src)
 				ast.StripFinishes(prog)
 				b.StartTimer()
-				if _, err := repair.Repair(prog, repair.Options{UseTraceFiles: true}); err != nil {
+				if _, err := repair.Repair(prog, repair.Options{}); err != nil {
 					b.Fatal(err)
 				}
 			}

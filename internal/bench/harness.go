@@ -196,6 +196,7 @@ func RunRepair(b *Benchmark, variant race.Variant, size int) (*RepairStats, erro
 		st.DetectTime = time.Since(t0)
 		st.SDPSTNodes = rr.Tree.NumNodes()
 		st.Races = len(det.Races())
+		rr.Tree.Release() // the repair below replays into its chunks
 		dsp.SetInt("races", int64(st.Races)).SetInt("sdpst_nodes", int64(st.SDPSTNodes)).End()
 	}
 
@@ -206,7 +207,7 @@ func RunRepair(b *Benchmark, variant race.Variant, size int) (*RepairStats, erro
 		return nil, err
 	}
 	ast.StripFinishes(buggy)
-	rep, err := repair.Repair(buggy, repair.Options{Variant: variant, UseTraceFiles: true, ParentSpan: bsp, Meter: newMeter(), Workers: workers})
+	rep, err := repair.Repair(buggy, repair.Options{Variant: variant, ParentSpan: bsp, Meter: newMeter(), Workers: workers})
 	if err != nil {
 		return nil, fmt.Errorf("%s repair: %w", b.Name, err)
 	}

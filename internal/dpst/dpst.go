@@ -16,6 +16,7 @@ package dpst
 import (
 	"fmt"
 	"strings"
+	"sync"
 
 	"finishrepair/internal/lang/ast"
 )
@@ -131,22 +132,48 @@ func (n *Node) StmtPos() string {
 type Tree struct {
 	Root   *Node
 	nextID int
-	// chunk is the tail of the node arena: nodes are handed out from
-	// fixed-capacity chunks so construction costs one allocation per
-	// nodeChunk nodes instead of one per node. Full chunks are abandoned
-	// to their nodes (never re-appended), so node pointers stay stable.
-	chunk []Node
+	// chunks is the node arena: nodes are handed out from fixed-size
+	// chunks drawn from chunkPool, so construction costs one allocation
+	// per nodeChunk nodes on a cold pool and none on a warm one. A chunk
+	// is never moved or resized, so node pointers stay stable; used
+	// counts the nodes handed out from the last chunk.
+	chunks []*chunk
+	used   int
 }
 
 // nodeChunk is the arena chunk size.
 const nodeChunk = 512
 
+type chunk [nodeChunk]Node
+
+// chunkPool recycles arena chunks across trees (see Release). Pooled
+// chunks are always zeroed.
+var chunkPool = sync.Pool{New: func() any { return new(chunk) }}
+
 func (t *Tree) alloc() *Node {
-	if len(t.chunk) == cap(t.chunk) {
-		t.chunk = make([]Node, 0, nodeChunk)
+	if len(t.chunks) == 0 || t.used == nodeChunk {
+		t.chunks = append(t.chunks, chunkPool.Get().(*chunk))
+		t.used = 0
 	}
-	t.chunk = append(t.chunk, Node{})
-	return &t.chunk[len(t.chunk)-1]
+	n := &t.chunks[len(t.chunks)-1][t.used]
+	t.used++
+	return n
+}
+
+// Release zeroes the tree's arena chunks, dropping their AST and node
+// references, and returns them to the reuse pool for the next tree. The
+// tree and every node it handed out must not be used afterwards: their
+// memory belongs to whichever tree draws the chunks next. Release on a
+// nil tree is a no-op.
+func (t *Tree) Release() {
+	if t == nil {
+		return
+	}
+	for _, c := range t.chunks {
+		clear(c[:])
+		chunkPool.Put(c)
+	}
+	t.chunks, t.used, t.Root = nil, 0, nil
 }
 
 // NewTree creates a tree whose root is the implicit finish enclosing the

@@ -23,7 +23,7 @@ const (
 	Parse         = "parse"
 	SemCheck      = "sem-check"
 	Detect        = "detect"
-	TraceIO       = "trace-io"
+	TraceIO       = "trace-io" // only with repair.Options.UseTraceFiles; goes with it
 	GroupNSLCA    = "group-nslca"
 	DPPlace       = "dp-place"
 	Rewrite       = "rewrite"

@@ -11,12 +11,17 @@ import (
 
 // The paper's tool writes the detected races to trace files which the
 // repair passes then read back ("the time to repair is dominated by the
-// time taken to read the trace files", §7.2). We mirror that boundary:
-// WriteTrace serializes races, ReadTrace deserializes them against the
-// S-DPST of the same execution. Version 2 of the record carries the
-// access sites (block, statement, isolation bit per endpoint) that the
-// isolated repair strategy needs; version 3 adds the per-endpoint
-// isolated lock class in the formerly-reserved tail bytes.
+// time taken to read the trace files", §7.2). This codec mirrors that
+// boundary in memory: WriteTrace serializes races, ReadTrace
+// deserializes them against the S-DPST of the same execution. Only
+// repair.Options.UseTraceFiles, which the frozen e2ebench layer pass
+// sets, round-trips through it; the codec goes with that option at the
+// next change to that benchmark.
+//
+// Version 2 of the record carries the access sites (block, statement,
+// isolation bit per endpoint) that the isolated repair strategy needs;
+// version 3 adds the per-endpoint isolated lock class in the
+// formerly-reserved tail bytes.
 
 const traceMagic = uint32(0x53445054) // "SDPT"
 

@@ -97,10 +97,9 @@ func renderGolden(t *testing.T, c goldenCase) string {
 	}
 	ex := &provenance.Explain{}
 	rep, rerr := repair.Repair(prog, repair.Options{
-		Variant:       c.variant,
-		Strategy:      c.strategy,
-		UseTraceFiles: true,
-		Explain:       ex,
+		Variant:  c.variant,
+		Strategy: c.strategy,
+		Explain:  ex,
 	})
 	if rep == nil {
 		t.Fatalf("%s: no report: %v", c.name, rerr)
@@ -200,6 +199,25 @@ func TestRepairGoldens(t *testing.T) {
 			}
 			if got != string(want) {
 				t.Errorf("%s differs from the golden:\n%s", path, lineDiff(string(want), got))
+			}
+		})
+	}
+}
+
+// TestRepairGoldensRepeatable repairs every golden case twice in one
+// process. Each round's S-DPST goes back to the shared arena pool when
+// the round ends, so the second repair builds its trees in chunks
+// recycled from earlier repairs (of this case or of the cases running
+// beside it); its digest, output and repaired source must equal the
+// first repair's.
+func TestRepairGoldensRepeatable(t *testing.T) {
+	for _, c := range goldenCases(t) {
+		c := c
+		t.Run(c.name, func(t *testing.T) {
+			t.Parallel()
+			first, second := renderGolden(t, c), renderGolden(t, c)
+			if first != second {
+				t.Errorf("second repair differs from the first:\n%s", lineDiff(first, second))
 			}
 		})
 	}

@@ -43,13 +43,17 @@ type Options struct {
 	// MaxGraph bounds the dependence-graph size handled by the O(n^3)
 	// DP; larger graphs use the sound fallback placement (default 1200).
 	MaxGraph int
-	// UseTraceFiles round-trips detected races through the binary trace
-	// encoding, mirroring the paper's detector/analyzer file boundary
-	// (default true).
+	// UseTraceFiles round-trips each round's races through the binary
+	// race-trace encoding (race.WriteTrace, then race.ReadTrace against
+	// the round's tree) in memory, under a trace-io span and the
+	// faults.TraceIO point. Nothing reads the bytes and no entry point of
+	// the module sets it; it stays only because the frozen e2ebench
+	// layer pass sets it, and goes, with the race codec, the trace-io
+	// span and faults.TraceIO, at the next change to that benchmark.
 	UseTraceFiles bool
 	// Tracer records per-phase spans of every iteration (sem-check,
-	// detect/verify, trace-io, group-nslca, dp-place, rewrite). Nil
-	// disables tracing at zero cost.
+	// detect/verify, trace-io when UseTraceFiles is set, group-nslca,
+	// dp-place, rewrite). Nil disables tracing at zero cost.
 	Tracer *obs.Tracer
 	// ParentSpan, when set, nests the repair's span tree under it
 	// instead of opening a new root on Tracer (callers wrapping the
@@ -75,6 +79,12 @@ type Options struct {
 	// before any grouping or rewriting. The static-analysis integration
 	// uses it to mark which static race candidates the test execution
 	// actually exercised (the coverage-gap report of hjrepair -vet).
+	//
+	// Ownership: each round replays into a tree whose arena is recycled
+	// (dpst.Tree.Release) when the round ends. The races, and every
+	// *dpst.Node reached from them, are valid only during the call;
+	// copy out whatever outlives it (positions, IDs, tabulated
+	// predicates), never the nodes.
 	OnRaces func([]*race.Race)
 	// MHP, when set, is a conservative may-happen-in-parallel oracle
 	// over S-DPST nodes. NS-LCA groups none of whose race pairs may run
@@ -82,7 +92,8 @@ type Options struct {
 	// sound oracle can never rule out a dynamically detected race, the
 	// filter is a provable no-op on outputs; it exists to skip placement
 	// work when a sound-but-incomplete oracle is supplied, and is
-	// exercised as a cross-check of the static analysis.
+	// exercised as a cross-check of the static analysis. The nodes
+	// follow the OnRaces ownership rule: valid only during the call.
 	MHP func(src, dst *dpst.Node) bool
 	// Explain, when non-nil, receives the structured provenance of the
 	// repair: per iteration, the detected race pairs, their NS-LCA
@@ -131,8 +142,9 @@ type Iteration struct {
 	// iteration carries them.
 	Applied []AppliedRange
 	// DetectTime covers the instrumented execution (data race detection
-	// and S-DPST construction); RepairTime covers trace I/O, dynamic and
-	// static finish placement, and the AST rewrite. PlaceTime and
+	// and S-DPST construction); RepairTime covers dynamic and static
+	// finish placement and the AST rewrite (plus the race-trace round
+	// trip when UseTraceFiles is set). PlaceTime and
 	// RewriteTime break RepairTime down into the grouping+DP phase and
 	// the AST rewrite phase.
 	DetectTime  time.Duration
@@ -149,7 +161,9 @@ type Report struct {
 	// Output is the program output of the final (race-free) detection
 	// run.
 	Output string
-	// TraceBytes is the total size of the race trace files produced.
+	// TraceBytes is the total size of the in-memory race-trace
+	// encodings: 0 unless UseTraceFiles is set, which only the frozen
+	// e2ebench layer pass does.
 	TraceBytes int
 	// Degraded reports that at least one placement fell back to the
 	// coarse sound placement because the DP-state or deadline budget
@@ -221,7 +235,13 @@ func Repair(prog *ast.Program, opts Options) (*Report, error) {
 		// (deduplicated, partial overlaps merged) in the coordinates of
 		// the original program.
 		virtual []trace.FinishRange
+		// tree is the current round's replayed S-DPST. The round's races,
+		// groups and provenance read its nodes, so its arena goes back to
+		// the pool only once the round is done: at the end of a placement
+		// round, or on return for the converged round and every error.
+		tree *dpst.Tree
 	)
+	defer func() { tree.Release() }()
 
 	// finish materializes the accumulated virtual scopes as real finish
 	// statements and records the applied insertions on the last
@@ -335,6 +355,9 @@ func Repair(prog *ast.Program, opts Options) (*Report, error) {
 			}
 			return aerr
 		})
+		if rr != nil {
+			tree = rr.Tree
+		}
 		if streamed && tr != nil {
 			engSpan.SetInt("events", int64(tr.Len()))
 		}
@@ -371,6 +394,7 @@ func Repair(prog *ast.Program, opts Options) (*Report, error) {
 		t1 := time.Now()
 		mRacesFound.Add(int64(len(races)))
 		if opts.UseTraceFiles {
+			// Benchmark-only: see Options.UseTraceFiles.
 			ioSpan := iterSpan.Child("trace-io")
 			var buf bytes.Buffer
 			buf.Grow(race.TraceSize(len(races)))
@@ -532,6 +556,8 @@ func Repair(prog *ast.Program, opts Options) (*Report, error) {
 		iterSpan.SetInt("races", int64(it.Races)).
 			SetInt("finishes_inserted", int64(added)).
 			End()
+		tree.Release()
+		tree = nil
 	}
 }
 

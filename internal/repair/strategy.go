@@ -173,6 +173,9 @@ func (ev *strategyEvaluator) probe(cand []Placement, g *group) (vanished bool, s
 	if err != nil {
 		return false, 0, err
 	}
+	// The probe tree's arena goes back to the pool once cpl.Analyze
+	// below has measured it, before the next probe replays.
+	defer rr.Tree.Release()
 	want := make(map[siteKey]bool, 2*len(g.races))
 	for _, r := range g.races {
 		want[siteKeyOf(r)] = true

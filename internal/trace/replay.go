@@ -421,8 +421,8 @@ func (r *replayer) push(e *Event) {
 	n.Body = r.block(e.Body)
 	iso := n.Kind == dpst.Scope && n.Class == dpst.IsoScope
 	if iso {
-		// The event codec carries no lock class; resolve it from the
-		// AST: the frame's construct is OwnerBlock.Stmts[StmtLo].
+		// Push events carry no lock class; resolve it from the AST:
+		// the frame's construct is OwnerBlock.Stmts[StmtLo].
 		cls := 0
 		if ob := n.OwnerBlock; ob != nil && n.StmtLo >= 0 && n.StmtLo < len(ob.Stmts) {
 			if is, ok := ob.Stmts[n.StmtLo].(*ast.IsolatedStmt); ok {

@@ -8,9 +8,9 @@ import "sync"
 // chunk, so analysis overlaps capture instead of waiting for the whole
 // trace. Chunks are immutable once published; the label table is
 // snapshotted alongside each chunk (every label referenced by a chunk is
-// interned before the chunk seals). The chunk boundary here is the same
-// one the versioned codec frames on disk, so a streamed replay and a
-// decode-then-replay see identical seams.
+// interned before the chunk seals). The chunk boundaries are the
+// recorder's own, so a streamed replay and a replay of the completed
+// trace see identical seams.
 type Stream struct {
 	mu        sync.Mutex
 	cond      *sync.Cond

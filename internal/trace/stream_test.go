@@ -1,7 +1,6 @@
 package trace_test
 
 import (
-	"bytes"
 	"errors"
 	"testing"
 	"time"
@@ -59,38 +58,6 @@ func TestReplayStreamMatchesBatch(t *testing.T) {
 		if batch.Steps != streamed.Steps {
 			t.Errorf("streamed steps = %d, batch = %d (fins=%v)", streamed.Steps, batch.Steps, withFins)
 		}
-	}
-}
-
-// TestCodecMultiChunkRoundTrip round-trips a trace spanning several
-// chunk frames through the v3 codec and requires an identical replay.
-func TestCodecMultiChunkRoundTrip(t *testing.T) {
-	info, _, tr := capture(t, bigSrc, false)
-	if tr.Len() <= 4096 {
-		t.Fatalf("fixture too small to span chunk frames: %d events", tr.Len())
-	}
-	var buf bytes.Buffer
-	if _, err := tr.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	back, err := trace.Read(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if back.Len() != tr.Len() || back.TailWork != tr.TailWork {
-		t.Fatalf("decoded %d events tail %d, want %d/%d",
-			back.Len(), back.TailWork, tr.Len(), tr.TailWork)
-	}
-	r1, err := trace.Replay(tr, trace.ReplayOptions{Prog: info.Prog})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r2, err := trace.Replay(back, trace.ReplayOptions{Prog: info.Prog})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if describe(r1.Tree) != describe(r2.Tree) {
-		t.Error("decoded multi-chunk trace replays differently")
 	}
 }
 

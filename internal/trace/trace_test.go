@@ -1,7 +1,6 @@
 package trace_test
 
 import (
-	"bytes"
 	"fmt"
 	"strings"
 	"testing"
@@ -205,46 +204,6 @@ func TestUnchargedWorkGap(t *testing.T) {
 		if got := res.Work - stepWork; got != c.gap {
 			t.Errorf("%s: run work %d - step work %d = %d, want %d", c.name, res.Work, stepWork, got, c.gap)
 		}
-	}
-}
-
-// The binary codec must round-trip the stream exactly: the decoded
-// trace replays to the same tree and race set as the original.
-func TestCodecRoundTrip(t *testing.T) {
-	for _, f := range fixtures {
-		info, _, tr := capture(t, f.src, false)
-		var buf bytes.Buffer
-		if _, err := tr.WriteTo(&buf); err != nil {
-			t.Fatalf("%s: encode: %v", f.name, err)
-		}
-		back, err := trace.Read(&buf)
-		if err != nil {
-			t.Fatalf("%s: decode: %v", f.name, err)
-		}
-		if back.Len() != tr.Len() || back.TailWork != tr.TailWork {
-			t.Fatalf("%s: decoded %d events tail %d, want %d/%d",
-				f.name, back.Len(), back.TailWork, tr.Len(), tr.TailWork)
-		}
-		r1, err := trace.Replay(tr, trace.ReplayOptions{Prog: info.Prog})
-		if err != nil {
-			t.Fatal(err)
-		}
-		r2, err := trace.Replay(back, trace.ReplayOptions{Prog: info.Prog})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if describe(r1.Tree) != describe(r2.Tree) {
-			t.Errorf("%s: decoded trace replays differently", f.name)
-		}
-	}
-}
-
-func TestCodecRejectsGarbage(t *testing.T) {
-	if _, err := trace.Read(bytes.NewReader([]byte("NOPE0000"))); err == nil {
-		t.Error("decoder accepted bad magic")
-	}
-	if _, err := trace.Read(bytes.NewReader(nil)); err == nil {
-		t.Error("decoder accepted empty input")
 	}
 }
 

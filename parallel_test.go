@@ -46,9 +46,8 @@ func repairWithWorkers(t *testing.T, src string, workers int) repairOutcome {
 	prog := parser.MustParse(src)
 	ast.StripFinishes(prog)
 	rep, err := repair.Repair(prog, repair.Options{
-		UseTraceFiles: true,
-		Engine:        race.EngineBoth,
-		Workers:       workers,
+		Engine:  race.EngineBoth,
+		Workers: workers,
 	})
 	if err != nil {
 		t.Fatalf("repair (workers=%d): %v", workers, err)

@@ -8,6 +8,8 @@ import (
 	"time"
 
 	"finishrepair/internal/faults"
+	"finishrepair/internal/lang/parser"
+	"finishrepair/internal/repair"
 	"finishrepair/tdr"
 )
 
@@ -240,6 +242,11 @@ func TestInjectionPointsSurfaceTypedErrors(t *testing.T) {
 			_, err = p.RunSequential()
 		case faults.ParallelRun:
 			_, err = p.RunParallelCtx(context.Background(), 2, tdr.Budget{})
+		case faults.TraceIO:
+			// No tdr entry point sets UseTraceFiles, so the point is
+			// reached through the repair loop directly while that code
+			// path exists.
+			_, err = repair.Repair(parser.MustParse(shortRacy), repair.Options{UseTraceFiles: true})
 		default:
 			_, err = p.Repair(tdr.RepairOptions{})
 		}

@@ -97,7 +97,6 @@ func RepairAcrossCtx(ctx context.Context, srcs []string, opts RepairOptions) (st
 			rep, rerr = repair.Repair(prog, repair.Options{
 				Variant:       v,
 				MaxIterations: maxIter,
-				UseTraceFiles: true,
 				Tracer:        opts.Tracer,
 				Meter:         m,
 			})

@@ -541,7 +541,6 @@ func (p *Program) RepairCtx(ctx context.Context, opts RepairOptions) (*RepairRep
 		Variant:       v,
 		Engine:        engineKind(opts.Engine),
 		MaxIterations: maxIter,
-		UseTraceFiles: true,
 		Tracer:        tr,
 		Meter:         m,
 		Workers:       opts.Workers,
