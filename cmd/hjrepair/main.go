@@ -29,10 +29,9 @@
 // and keeps the one with the shorter post-repair critical path. The
 // -explain record documents every choice (candidate spans and why).
 //
-// -j N parallelizes the analysis: the first detection round overlaps
-// capture with analysis, "-detector both" shards its scan across N
-// workers, and the independent per-NS-LCA finish-placement problems are
-// solved on a worker pool of N goroutines. The repaired program is
+// -j N parallelizes the analysis: "-detector both" shards its scan
+// across N workers, and the independent per-NS-LCA finish-placement
+// problems are solved on a worker pool of N goroutines. The repaired program is
 // byte-identical for any N.
 //
 // Robustness: -timeout bounds the wall-clock time of the whole pipeline

@@ -57,9 +57,9 @@ func TestReleaseClearsChunks(t *testing.T) {
 }
 
 // TestReleaseConcurrentTrees builds and releases trees on several
-// goroutines at once, as concurrent repairs and a streamed replay
-// goroutine do. No chunk may be handed to two live trees: every node keeps the ID
-// and parent its own tree gave it until that tree is released.
+// goroutines at once, as concurrent repairs do. No chunk may be handed
+// to two live trees: every node keeps the ID and parent its own tree
+// gave it until that tree is released.
 func TestReleaseConcurrentTrees(t *testing.T) {
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {

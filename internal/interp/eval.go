@@ -33,7 +33,10 @@ func (in *interp) eval(f *frame, e ast.Expr) Value {
 			return BoolV(!x.Bool())
 		}
 	case *ast.BinaryExpr:
-		return in.evalBinary(f, ex)
+		if ex.Op == token.LAND || ex.Op == token.LOR {
+			return in.evalLogical(f, ex)
+		}
+		return Binary(ex, in.eval(f, ex.X), in.eval(f, ex.Y))
 	case *ast.IndexExpr:
 		arr, i := in.evalIndexTarget(f, ex)
 		in.readLoc(arr.Base + uint64(i))
@@ -44,7 +47,7 @@ func (in *interp) eval(f *frame, e ast.Expr) Value {
 			throwf("make with negative length %d at %s", n.I, ex.Pos())
 		}
 		a := &Array{Elems: make([]Value, n.I)}
-		z := zeroValue(ex.Elem)
+		z := ZeroValue(ex.Elem)
 		for i := range a.Elems {
 			a.Elems[i] = z
 		}
@@ -60,24 +63,20 @@ func (in *interp) eval(f *frame, e ast.Expr) Value {
 	return Value{}
 }
 
-func (in *interp) evalBinary(f *frame, ex *ast.BinaryExpr) Value {
-	// Short-circuit operators.
-	switch ex.Op {
-	case token.LAND:
-		x := in.eval(f, ex.X)
-		if !x.Bool() {
-			return BoolV(false)
-		}
-		return BoolV(in.eval(f, ex.Y).Bool())
-	case token.LOR:
-		x := in.eval(f, ex.X)
-		if x.Bool() {
-			return BoolV(true)
-		}
-		return BoolV(in.eval(f, ex.Y).Bool())
+// evalLogical evaluates a short-circuit operator.
+func (in *interp) evalLogical(f *frame, ex *ast.BinaryExpr) Value {
+	x := in.eval(f, ex.X).Bool()
+	if ex.Op == token.LAND {
+		return BoolV(x && in.eval(f, ex.Y).Bool())
 	}
-	x := in.eval(f, ex.X)
-	y := in.eval(f, ex.Y)
+	return BoolV(x || in.eval(f, ex.Y).Bool())
+}
+
+// Binary applies the non-short-circuit operator of ex to its evaluated
+// operands. It is the one definition of HJ-lite's operator semantics:
+// the parallel interpreter calls it too, so both runs report the same
+// values and the same positioned runtime errors.
+func Binary(ex *ast.BinaryExpr, x, y Value) Value {
 	if x.K == KInt && y.K == KInt {
 		switch ex.Op {
 		case token.ADD:
@@ -182,23 +181,31 @@ func (in *interp) evalBuiltin(f *frame, ex *ast.CallExpr, b *sem.Builtin) Value 
 	for i, a := range ex.Args {
 		args[i] = in.eval(f, a)
 	}
-	switch b.ID() {
-	case sem.BLen:
-		if args[0].A == nil {
-			throwf("len of nil array at %s", ex.FunPos)
-		}
-		return IntV(int64(len(args[0].A.Elems)))
-	case sem.BPrint, sem.BPrintln:
+	if id := b.ID(); id == sem.BPrint || id == sem.BPrintln {
 		for i, a := range args {
 			if i > 0 {
 				in.out.WriteByte(' ')
 			}
 			in.out.WriteString(a.String())
 		}
-		if b.ID() == sem.BPrintln {
+		if id == sem.BPrintln {
 			in.out.WriteByte('\n')
 		}
 		return VoidV()
+	}
+	return Builtin(ex, b, args)
+}
+
+// Builtin applies every builtin but print and println, which write to
+// the caller's output, to its evaluated arguments. Like Binary, it is
+// shared with the parallel interpreter.
+func Builtin(ex *ast.CallExpr, b *sem.Builtin, args []Value) Value {
+	switch b.ID() {
+	case sem.BLen:
+		if args[0].A == nil {
+			throwf("len of nil array at %s", ex.FunPos)
+		}
+		return IntV(int64(len(args[0].A.Elems)))
 	case sem.BIntConv:
 		if args[0].K == KFloat {
 			return IntV(int64(args[0].F))

@@ -373,7 +373,7 @@ func (in *interp) execGlobal(g *ast.VarDeclStmt) {
 	if g.Init != nil {
 		v = in.eval(nil, g.Init)
 	} else {
-		v = zeroValue(g.Type)
+		v = ZeroValue(g.Type)
 	}
 	in.globals[sym.Slot] = v
 	// Global initialization happens before main and is ordered before
@@ -405,7 +405,7 @@ func (in *interp) execStmt(f *frame, b *ast.Block, idx int, s ast.Stmt) ctrl {
 		if st.Init != nil {
 			v = in.eval(f, st.Init)
 		} else {
-			v = zeroValue(st.Type)
+			v = ZeroValue(st.Type)
 		}
 		f.slots[sym.Slot] = v
 		return ctrl{}
@@ -587,7 +587,7 @@ func (in *interp) execAssign(f *frame, st *ast.AssignStmt) {
 		sym := lhs.Sym.(*sem.Symbol)
 		if st.Op != token.ASSIGN {
 			old := in.loadVar(sym, f)
-			rhs = applyCompound(st, old, rhs)
+			rhs = Compound(st, old, rhs)
 		}
 		in.storeVar(sym, f, rhs)
 	case *ast.IndexExpr:
@@ -595,7 +595,7 @@ func (in *interp) execAssign(f *frame, st *ast.AssignStmt) {
 		if st.Op != token.ASSIGN {
 			in.readLoc(arr.Base + uint64(i))
 			old := arr.Elems[i]
-			rhs = applyCompound(st, old, rhs)
+			rhs = Compound(st, old, rhs)
 		}
 		arr.Elems[i] = rhs
 		in.writeLoc(arr.Base + uint64(i))
@@ -604,7 +604,10 @@ func (in *interp) execAssign(f *frame, st *ast.AssignStmt) {
 	}
 }
 
-func applyCompound(st *ast.AssignStmt, old, rhs Value) Value {
+// Compound applies the compound assignment operator of st to the old
+// value and the evaluated right-hand side (shared with the parallel
+// interpreter, like Binary).
+func Compound(st *ast.AssignStmt, old, rhs Value) Value {
 	switch old.K {
 	case KInt:
 		switch st.Op {
@@ -665,7 +668,9 @@ func (in *interp) evalIndexTarget(f *frame, lhs *ast.IndexExpr) (*Array, int64) 
 	return av.A, iv.I
 }
 
-func zeroValue(t ast.Type) Value {
+// ZeroValue is the value of a declared but uninitialized variable or
+// array element of type t.
+func ZeroValue(t ast.Type) Value {
 	switch tt := t.(type) {
 	case *ast.PrimType:
 		switch tt.Kind {

@@ -112,7 +112,7 @@ func (p *par) runControlled(info *sem.Info, opts Options) (*Result, error) {
 			if g.Init != nil {
 				p.globals[sym.Slot] = p.eval(c, nil, g.Init)
 			} else {
-				p.globals[sym.Slot] = zeroValue(g.Type)
+				p.globals[sym.Slot] = interp.ZeroValue(g.Type)
 			}
 		}
 		main := info.Prog.Func("main")

@@ -18,7 +18,6 @@ package parinterp
 
 import (
 	"bytes"
-	"math"
 	"sync"
 
 	"finishrepair/internal/faults"
@@ -115,7 +114,7 @@ func Run(info *sem.Info, opts Options) (res *Result, err error) {
 			if g.Init != nil {
 				pi.globals[sym.Slot] = pi.eval(tc, nil, g.Init)
 			} else {
-				pi.globals[sym.Slot] = zeroValue(g.Type)
+				pi.globals[sym.Slot] = interp.ZeroValue(g.Type)
 			}
 		}
 		main := info.Prog.Func("main")
@@ -204,7 +203,7 @@ func (p *par) execStmt(c *tctx, f *frame, s ast.Stmt) ctrl {
 		if st.Init != nil {
 			f.slots[sym.Slot] = p.eval(c, f, st.Init)
 		} else {
-			f.slots[sym.Slot] = zeroValue(st.Type)
+			f.slots[sym.Slot] = interp.ZeroValue(st.Type)
 		}
 		return ctrl{}
 	case *ast.AssignStmt:
@@ -354,7 +353,7 @@ func (p *par) execAssign(c *tctx, f *frame, st *ast.AssignStmt) {
 	case *ast.Ident:
 		sym := lhs.Sym.(*sem.Symbol)
 		if st.Op != token.ASSIGN {
-			rhs = compound(st.Op, p.load(c, sym, f), rhs)
+			rhs = interp.Compound(st, p.load(c, sym, f), rhs)
 		}
 		p.store(c, sym, f, rhs)
 	case *ast.IndexExpr:
@@ -365,7 +364,7 @@ func (p *par) execAssign(c *tctx, f *frame, st *ast.AssignStmt) {
 		}
 		if st.Op != token.ASSIGN {
 			p.yield(c, OpRead, av.A.Base+uint64(iv.I))
-			rhs = compound(st.Op, av.A.Elems[iv.I], rhs)
+			rhs = interp.Compound(st, av.A.Elems[iv.I], rhs)
 		}
 		p.yield(c, OpWrite, av.A.Base+uint64(iv.I))
 		av.A.Elems[iv.I] = rhs
@@ -387,56 +386,6 @@ func (p *par) store(c *tctx, sym *sem.Symbol, f *frame, v interp.Value) {
 		return
 	}
 	f.slots[sym.Slot] = v
-}
-
-func compound(op token.Kind, old, rhs interp.Value) interp.Value {
-	switch old.K {
-	case interp.KInt:
-		switch op {
-		case token.ADDASSIGN:
-			return interp.IntV(old.I + rhs.I)
-		case token.SUBASSIGN:
-			return interp.IntV(old.I - rhs.I)
-		case token.MULASSIGN:
-			return interp.IntV(old.I * rhs.I)
-		case token.QUOASSIGN:
-			if rhs.I == 0 {
-				panic(&interp.RuntimeError{Msg: "integer division by zero"})
-			}
-			return interp.IntV(old.I / rhs.I)
-		}
-	case interp.KFloat:
-		switch op {
-		case token.ADDASSIGN:
-			return interp.FloatV(old.F + rhs.F)
-		case token.SUBASSIGN:
-			return interp.FloatV(old.F - rhs.F)
-		case token.MULASSIGN:
-			return interp.FloatV(old.F * rhs.F)
-		case token.QUOASSIGN:
-			return interp.FloatV(old.F / rhs.F)
-		}
-	}
-	panic(&interp.RuntimeError{Msg: "invalid compound assignment"})
-}
-
-func zeroValue(t ast.Type) interp.Value {
-	switch tt := t.(type) {
-	case *ast.PrimType:
-		switch tt.Kind {
-		case ast.Int:
-			return interp.IntV(0)
-		case ast.Float:
-			return interp.FloatV(0)
-		case ast.Bool:
-			return interp.BoolV(false)
-		default:
-			return interp.StringV("")
-		}
-	case *ast.ArrayType:
-		return interp.Value{K: interp.KArray}
-	}
-	return interp.VoidV()
 }
 
 func (p *par) eval(c *tctx, f *frame, e ast.Expr) interp.Value {
@@ -461,7 +410,10 @@ func (p *par) eval(c *tctx, f *frame, e ast.Expr) interp.Value {
 		}
 		return interp.BoolV(!x.Bool())
 	case *ast.BinaryExpr:
-		return p.evalBinary(c, f, ex)
+		if ex.Op == token.LAND || ex.Op == token.LOR {
+			return p.evalLogical(c, f, ex)
+		}
+		return interp.Binary(ex, p.eval(c, f, ex.X), p.eval(c, f, ex.Y))
 	case *ast.IndexExpr:
 		av := p.eval(c, f, ex.X)
 		iv := p.eval(c, f, ex.Index)
@@ -482,7 +434,7 @@ func (p *par) eval(c *tctx, f *frame, e ast.Expr) interp.Value {
 			a.Base = p.nextLoc
 			p.nextLoc += uint64(n.I)
 		}
-		z := zeroValue(ex.Elem)
+		z := interp.ZeroValue(ex.Elem)
 		for i := range a.Elems {
 			a.Elems[i] = z
 		}
@@ -493,96 +445,13 @@ func (p *par) eval(c *tctx, f *frame, e ast.Expr) interp.Value {
 	panic(&interp.RuntimeError{Msg: "unknown expression"})
 }
 
-func (p *par) evalBinary(c *tctx, f *frame, ex *ast.BinaryExpr) interp.Value {
-	switch ex.Op {
-	case token.LAND:
-		if !p.eval(c, f, ex.X).Bool() {
-			return interp.BoolV(false)
-		}
-		return interp.BoolV(p.eval(c, f, ex.Y).Bool())
-	case token.LOR:
-		if p.eval(c, f, ex.X).Bool() {
-			return interp.BoolV(true)
-		}
-		return interp.BoolV(p.eval(c, f, ex.Y).Bool())
+// evalLogical evaluates a short-circuit operator.
+func (p *par) evalLogical(c *tctx, f *frame, ex *ast.BinaryExpr) interp.Value {
+	x := p.eval(c, f, ex.X).Bool()
+	if ex.Op == token.LAND {
+		return interp.BoolV(x && p.eval(c, f, ex.Y).Bool())
 	}
-	x := p.eval(c, f, ex.X)
-	y := p.eval(c, f, ex.Y)
-	if x.K == interp.KInt && y.K == interp.KInt {
-		switch ex.Op {
-		case token.ADD:
-			return interp.IntV(x.I + y.I)
-		case token.SUB:
-			return interp.IntV(x.I - y.I)
-		case token.MUL:
-			return interp.IntV(x.I * y.I)
-		case token.QUO:
-			if y.I == 0 {
-				panic(&interp.RuntimeError{Msg: "integer division by zero"})
-			}
-			return interp.IntV(x.I / y.I)
-		case token.REM:
-			if y.I == 0 {
-				panic(&interp.RuntimeError{Msg: "integer modulo by zero"})
-			}
-			return interp.IntV(x.I % y.I)
-		case token.AND:
-			return interp.IntV(x.I & y.I)
-		case token.OR:
-			return interp.IntV(x.I | y.I)
-		case token.XOR:
-			return interp.IntV(x.I ^ y.I)
-		case token.SHL:
-			return interp.IntV(x.I << uint(y.I&63))
-		case token.SHR:
-			return interp.IntV(x.I >> uint(y.I&63))
-		case token.LSS:
-			return interp.BoolV(x.I < y.I)
-		case token.LEQ:
-			return interp.BoolV(x.I <= y.I)
-		case token.GTR:
-			return interp.BoolV(x.I > y.I)
-		case token.GEQ:
-			return interp.BoolV(x.I >= y.I)
-		case token.EQL:
-			return interp.BoolV(x.I == y.I)
-		case token.NEQ:
-			return interp.BoolV(x.I != y.I)
-		}
-	}
-	if x.K == interp.KFloat && y.K == interp.KFloat {
-		switch ex.Op {
-		case token.ADD:
-			return interp.FloatV(x.F + y.F)
-		case token.SUB:
-			return interp.FloatV(x.F - y.F)
-		case token.MUL:
-			return interp.FloatV(x.F * y.F)
-		case token.QUO:
-			return interp.FloatV(x.F / y.F)
-		case token.LSS:
-			return interp.BoolV(x.F < y.F)
-		case token.LEQ:
-			return interp.BoolV(x.F <= y.F)
-		case token.GTR:
-			return interp.BoolV(x.F > y.F)
-		case token.GEQ:
-			return interp.BoolV(x.F >= y.F)
-		case token.EQL:
-			return interp.BoolV(x.F == y.F)
-		case token.NEQ:
-			return interp.BoolV(x.F != y.F)
-		}
-	}
-	if x.K == interp.KBool && y.K == interp.KBool {
-		switch ex.Op {
-		case token.EQL:
-			return interp.BoolV(x.I == y.I)
-		case token.NEQ:
-			return interp.BoolV(x.I != y.I)
-		}
-	}
-	panic(&interp.RuntimeError{Msg: "invalid operands"})
+	return interp.BoolV(x || p.eval(c, f, ex.Y).Bool())
 }
 
 func (p *par) evalCall(c *tctx, f *frame, ex *ast.CallExpr) interp.Value {
@@ -603,59 +472,25 @@ func (p *par) evalCall(c *tctx, f *frame, ex *ast.CallExpr) interp.Value {
 	panic(&interp.RuntimeError{Msg: "unresolved call " + ex.Fun})
 }
 
+// builtin runs a builtin call: print and println yield to the
+// controller and write under the output lock; every other builtin is
+// interp's.
 func (p *par) builtin(c *tctx, ex *ast.CallExpr, b *sem.Builtin, args []interp.Value) interp.Value {
-	switch b.ID() {
-	case sem.BLen:
-		if args[0].A == nil {
-			panic(&interp.RuntimeError{Msg: "len of nil array"})
-		}
-		return interp.IntV(int64(len(args[0].A.Elems)))
-	case sem.BPrint, sem.BPrintln:
-		p.yield(c, OpPrint, 0)
-		p.outMu.Lock()
-		for i, a := range args {
-			if i > 0 {
-				p.out.WriteByte(' ')
-			}
-			p.out.WriteString(a.String())
-		}
-		if b.ID() == sem.BPrintln {
-			p.out.WriteByte('\n')
-		}
-		p.outMu.Unlock()
-		return interp.VoidV()
-	case sem.BIntConv:
-		if args[0].K == interp.KFloat {
-			return interp.IntV(int64(args[0].F))
-		}
-		return args[0]
-	case sem.BFloatConv:
-		if args[0].K == interp.KInt {
-			return interp.FloatV(float64(args[0].I))
-		}
-		return args[0]
-	case sem.BSqrt:
-		return interp.FloatV(math.Sqrt(args[0].F))
-	case sem.BSin:
-		return interp.FloatV(math.Sin(args[0].F))
-	case sem.BCos:
-		return interp.FloatV(math.Cos(args[0].F))
-	case sem.BPow:
-		return interp.FloatV(math.Pow(args[0].F, args[1].F))
-	case sem.BExp:
-		return interp.FloatV(math.Exp(args[0].F))
-	case sem.BLog:
-		return interp.FloatV(math.Log(args[0].F))
-	case sem.BFloor:
-		return interp.FloatV(math.Floor(args[0].F))
-	case sem.BAbs:
-		if args[0].K == interp.KInt {
-			if args[0].I < 0 {
-				return interp.IntV(-args[0].I)
-			}
-			return args[0]
-		}
-		return interp.FloatV(math.Abs(args[0].F))
+	id := b.ID()
+	if id != sem.BPrint && id != sem.BPrintln {
+		return interp.Builtin(ex, b, args)
 	}
-	panic(&interp.RuntimeError{Msg: "unknown builtin " + ex.Fun})
+	p.yield(c, OpPrint, 0)
+	p.outMu.Lock()
+	for i, a := range args {
+		if i > 0 {
+			p.out.WriteByte(' ')
+		}
+		p.out.WriteString(a.String())
+	}
+	if id == sem.BPrintln {
+		p.out.WriteByte('\n')
+	}
+	p.outMu.Unlock()
+	return interp.VoidV()
 }

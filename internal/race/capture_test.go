@@ -104,13 +104,9 @@ func TestCaptureBuildsNoTree(t *testing.T) {
 	if res.Tree != nil {
 		t.Error("race.Capture built a tree")
 	}
-	det := race.NewMRW(race.NewBagsOracle())
-	res, _, rr, err := race.CaptureAnalyzeStreamed(info, nil, det, nil, false, 1)
+	rr, err := race.Analyze(tr, info.Prog, nil, race.NewMRW(race.NewBagsOracle()), nil, false)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if res.Tree != nil {
-		t.Error("race.CaptureAnalyzeStreamed built a tree at capture")
 	}
 	if rr.Tree == nil || rr.Tree.IDBound() <= 1 || tr.Len() == 0 {
 		t.Error("replay built no tree")

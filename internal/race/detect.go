@@ -22,7 +22,6 @@ var (
 	mAnalyzeNs     = obs.Default().Histogram("race.analyze_ns")
 	mShadowCells   = obs.Default().Histogram("race.shadow_cells")
 	mAnalyzeShards = obs.Default().Gauge("race.analyze_shards")
-	mStreamChunks  = obs.Default().Counter("race.stream_chunks")
 	mDualQueries   = obs.Default().Counter("race.dual_queries")
 	mRawReports    = obs.Default().Counter("race.raw_reports")
 )
@@ -108,8 +107,8 @@ func Analyze(tr *trace.Trace, prog *ast.Program, fins []trace.FinishRange, det D
 	return rr, nil
 }
 
-// observeAnalysis records the per-analysis metrics shared by the serial,
-// sharded, and streamed paths.
+// observeAnalysis records the per-analysis metrics shared by the serial
+// and sharded paths.
 func observeAnalysis(det Detector, rr *trace.Result, elapsed time.Duration) {
 	mAnalyzeNs.Observe(elapsed.Nanoseconds())
 	if s, ok := det.(ShadowSizer); ok {
@@ -142,91 +141,6 @@ func recorderOf(det Detector) *recorder {
 		return recorderOf(d.Detector)
 	}
 	return nil
-}
-
-// CaptureAnalyzeStreamed overlaps capture and analysis: the instrumented
-// execution records into a stream whose sealed chunks the analysis
-// consumes as they are published, instead of capture-once-then-analyze.
-// When det is a fused engine and more than one worker is requested, the
-// consumer is the sharded scan (analysis parallelism stacks on the
-// capture overlap); otherwise a single streaming replay feeds det. The
-// returned trace is the complete capture, replayable by later
-// iterations exactly like Capture's, and the returned interp.Result
-// has no tree, as with Capture. A capture error wins over the
-// analysis error it induces downstream.
-func CaptureAnalyzeStreamed(info *sem.Info, fins []trace.FinishRange, det Detector, m *guard.Meter, noCollapse bool, workers int) (*interp.Result, *trace.Trace, *trace.Result, error) {
-	s := trace.NewStream()
-	rec := trace.NewRecorder()
-	rec.StreamTo(s)
-
-	var (
-		res *interp.Result
-		tr  *trace.Trace
-	)
-	capDone := make(chan error, 1)
-	go func() {
-		// Protect inside the goroutine: a contained panic must surface as
-		// the capture error, not crash the process. Fail on every error
-		// path — a stream that never finishes blocks the consumer forever.
-		cerr := guard.Protect("trace-capture", func() error {
-			m.SetPhase("trace-capture")
-			if err := faults.Inject(faults.Detect); err != nil {
-				return err
-			}
-			r, err := interp.Run(info, interp.Options{
-				Mode:       interp.DepthFirst,
-				Instrument: true,
-				Trace:      rec,
-				Meter:      m,
-			})
-			res = r
-			return err
-		})
-		if cerr != nil {
-			s.Fail(cerr)
-		} else {
-			tr = rec.Trace()
-			mTraceCaptures.Inc()
-		}
-		capDone <- cerr
-	}()
-
-	shards := 0
-	if _, ok := det.(*Fused); ok && workers > 1 {
-		shards = effectiveShards(workers)
-	}
-	var (
-		rr   *trace.Result
-		aerr error
-	)
-	if shards > 1 {
-		run := func(opts trace.ReplayOptions) (*trace.Result, error) {
-			return trace.ReplayStream(s, opts)
-		}
-		rr, aerr = analyzeShardedFrom(run, 0, info.Prog, fins, det.(*Fused), m, noCollapse, shards)
-	} else {
-		m.SetPhase("detect")
-		t0 := time.Now()
-		rr, aerr = trace.ReplayStream(s, trace.ReplayOptions{
-			Prog:       info.Prog,
-			Finishes:   fins,
-			Sink:       det,
-			NoCollapse: noCollapse,
-			Meter:      m,
-		})
-		if aerr == nil {
-			observeAnalysis(det, rr, time.Since(t0))
-		}
-	}
-	cerr := <-capDone
-	mStreamChunks.Add(int64(s.Chunks()))
-	if cerr != nil {
-		return res, nil, nil, cerr
-	}
-	if aerr != nil {
-		return res, tr, nil, aerr
-	}
-	return res, tr, rr, nil
 }
 
 // Detect captures the canonical sequential execution of the checked

@@ -288,16 +288,6 @@ func AnalyzeSharded(tr *trace.Trace, prog *ast.Program, fins []trace.FinishRange
 	if shards <= 1 {
 		return Analyze(tr, prog, fins, f, m, noCollapse)
 	}
-	run := func(opts trace.ReplayOptions) (*trace.Result, error) {
-		return trace.Replay(tr, opts)
-	}
-	return analyzeShardedFrom(run, tr.Len(), prog, fins, f, m, noCollapse, shards)
-}
-
-// analyzeShardedFrom runs the sharded analysis over any replay source
-// (captured trace or live stream). events presizes the per-shard shadow
-// arenas; 0 skips presizing (streaming, where the total is unknown).
-func analyzeShardedFrom(run func(trace.ReplayOptions) (*trace.Result, error), events int, prog *ast.Program, fins []trace.FinishRange, f *Fused, m *guard.Meter, noCollapse bool, shards int) (*trace.Result, error) {
 	m.SetPhase("detect")
 	t0 := time.Now()
 
@@ -307,10 +297,8 @@ func analyzeShardedFrom(run func(trace.ReplayOptions) (*trace.Result, error), ev
 	for i := range dets {
 		duals[i] = NewDualOracle()
 		dets[i] = New(f.variant, duals[i])
-		if events > 0 {
-			if p, ok := dets[i].(Presizer); ok {
-				p.Presize(events / shards)
-			}
+		if p, ok := dets[i].(Presizer); ok {
+			p.Presize(tr.Len() / shards)
 		}
 	}
 
@@ -333,7 +321,7 @@ func analyzeShardedFrom(run func(trace.ReplayOptions) (*trace.Result, error), ev
 	}
 
 	sink := newDemuxSink(log)
-	rr, rerr := run(trace.ReplayOptions{
+	rr, rerr := trace.Replay(tr, trace.ReplayOptions{
 		Prog:       prog,
 		Finishes:   fins,
 		Sink:       sink,

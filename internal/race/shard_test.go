@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"os"
 	"reflect"
-	"runtime"
 	"strconv"
 	"testing"
 
@@ -205,112 +204,6 @@ func TestShardedAgreesOnGeneratedPrograms(t *testing.T) {
 		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
 			t.Parallel()
 			checkShardedAgreesSerial(t, fmt.Sprintf("progen-%d", seed), progen.Gen(seed, progen.Default()))
-		})
-	}
-}
-
-// TestCaptureAnalyzeStreamedSharded forces the sharded streaming
-// consumer (GOMAXPROCS permitting shards) and checks it against the
-// batch serial fused scan. Not parallel: it adjusts GOMAXPROCS so the
-// shard clamp cannot collapse the consumer to the serial path on
-// single-CPU machines.
-func TestCaptureAnalyzeStreamedSharded(t *testing.T) {
-	old := runtime.GOMAXPROCS(4)
-	defer runtime.GOMAXPROCS(old)
-
-	b := bench.Get("Mergesort")
-	mkInfo := func() *sem.Info {
-		prog, err := parser.Parse(b.Src(b.RepairSize))
-		if err != nil {
-			t.Fatal(err)
-		}
-		ast.StripFinishes(prog)
-		info, err := sem.Check(prog)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return info
-	}
-
-	batchInfo := mkInfo()
-	_, tr, err := race.Capture(batchInfo, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	batch := race.NewFused(race.VariantMRW)
-	if _, err := race.Analyze(tr, batchInfo.Prog, nil, batch, nil, false); err != nil {
-		t.Fatal(err)
-	}
-	want := seqFingerprint(batch)
-	batch.Release()
-
-	streamInfo := mkInfo()
-	eng := race.NewFused(race.VariantMRW)
-	_, str, _, err := race.CaptureAnalyzeStreamed(streamInfo, nil, eng, nil, false, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := eng.Check(); err != nil {
-		t.Fatalf("sharded streamed cross-check: %v", err)
-	}
-	if str.Len() != tr.Len() {
-		t.Fatalf("streamed capture length %d differs from batch %d", str.Len(), tr.Len())
-	}
-	if got := seqFingerprint(eng); !reflect.DeepEqual(want, got) {
-		t.Fatalf("sharded streamed race stream differs:\nbatch    %v\nstreamed %v", want, got)
-	}
-	eng.Release()
-}
-
-// TestCaptureAnalyzeStreamedMatchesBatch overlaps capture with the
-// (sharded) streaming analysis and requires the same races and the same
-// complete trace as batch capture-then-analyze.
-func TestCaptureAnalyzeStreamedMatchesBatch(t *testing.T) {
-	for _, b := range bench.All() {
-		b := b
-		t.Run(b.Name, func(t *testing.T) {
-			t.Parallel()
-			mkInfo := func() *sem.Info {
-				prog, err := parser.Parse(b.Src(b.RepairSize))
-				if err != nil {
-					t.Fatal(err)
-				}
-				ast.StripFinishes(prog)
-				info, err := sem.Check(prog)
-				if err != nil {
-					t.Fatal(err)
-				}
-				return info
-			}
-
-			batchInfo := mkInfo()
-			_, tr, err := race.Capture(batchInfo, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			batch := race.NewFused(race.VariantMRW)
-			if _, err := race.Analyze(tr, batchInfo.Prog, nil, batch, nil, false); err != nil {
-				t.Fatal(err)
-			}
-			want := seqFingerprint(batch)
-			batch.Release()
-
-			streamInfo := mkInfo()
-			eng := race.NewFused(race.VariantMRW)
-			_, str, _, err := race.CaptureAnalyzeStreamed(streamInfo, nil, eng, nil, false, 2)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := eng.Check(); err != nil {
-				t.Fatalf("streamed cross-check: %v", err)
-			}
-			if str.Len() != tr.Len() {
-				t.Fatalf("streamed capture length %d differs from batch %d", str.Len(), tr.Len())
-			}
-			if got := seqFingerprint(eng); !reflect.DeepEqual(want, got) {
-				t.Fatalf("streamed race stream differs:\nbatch    %v\nstreamed %v", want, got)
-			}
-			eng.Release()
 		})
 	}
 }

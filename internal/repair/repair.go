@@ -68,12 +68,13 @@ type Options struct {
 	// every ordering query and fails the repair with a
 	// *race.DisagreementError if they ever disagree.
 	Engine race.EngineKind
-	// Workers bounds the analysis parallelism: the first round overlaps
-	// capture with analysis, Engine Both shards its fused scan across
-	// this many workers, and the independent per-NS-LCA placement
-	// problems are solved on a worker pool of this size. Results are
-	// accumulated in deterministic order, so the repaired program is
-	// byte-identical for any worker count. 0 or 1 is fully sequential.
+	// Workers bounds the analysis parallelism: Engine Both shards its
+	// fused scan across this many workers, and the independent
+	// per-NS-LCA placement problems are solved on a worker pool of this
+	// size. Every round runs the same capture-once, replay-per-round
+	// path at any worker count, and results are accumulated in
+	// deterministic order, so the repaired program is byte-identical for
+	// any worker count. 0 or 1 is fully sequential.
 	Workers int
 	// OnRaces, when set, observes every detection round's race list
 	// before any grouping or rewriting. The static-analysis integration
@@ -307,11 +308,7 @@ func Repair(prog *ast.Program, opts Options) (*Report, error) {
 			SetStr("variant", opts.Variant.String()).
 			SetStr("engine", opts.Engine.String())
 		t0 := time.Now()
-		// With analysis parallelism requested, the first round streams:
-		// capture and analysis overlap, consuming trace chunks as the
-		// recorder seals them. Later rounds replay the completed capture.
-		streamed := iter == 0 && opts.Workers > 1
-		if iter == 0 && !streamed {
+		if iter == 0 {
 			capSpan := detSpan.Child("trace-capture")
 			err := guard.Protect("detect", func() error {
 				var cerr error
@@ -342,24 +339,14 @@ func Repair(prog *ast.Program, opts Options) (*Report, error) {
 		if opts.Workers > 1 && opts.Engine == race.EngineBoth {
 			engSpan.SetInt("workers", int64(opts.Workers))
 		}
-		if streamed {
-			engSpan.SetInt("streamed", 1)
-		}
 		var rr *trace.Result
 		err := guard.Protect("detect", func() error {
 			var aerr error
-			if streamed {
-				captured, tr, rr, aerr = race.CaptureAnalyzeStreamed(info, virtual, eng, opts.Meter, false, opts.Workers)
-			} else {
-				rr, aerr = race.AnalyzeParallel(tr, info.Prog, virtual, eng, opts.Meter, false, opts.Workers)
-			}
+			rr, aerr = race.AnalyzeParallel(tr, info.Prog, virtual, eng, opts.Meter, false, opts.Workers)
 			return aerr
 		})
 		if rr != nil {
 			tree = rr.Tree
-		}
-		if streamed && tr != nil {
-			engSpan.SetInt("events", int64(tr.Len()))
 		}
 		engSpan.End()
 		if replaySpan != nil {

@@ -140,7 +140,7 @@ type replayer struct {
 	frames     []rframe
 	blocks     map[int32]*ast.Block
 	ranges     map[int32][]FinishRange
-	labels     []string // label-table snapshot of the current chunk
+	tr         *Trace
 
 	// Access-site attribution: coordinates of the last step boundary,
 	// the current isolated-nesting depth, and the lock class of the
@@ -154,33 +154,6 @@ type replayer struct {
 // checkMask gates the periodic meter check: every 4096 events.
 const checkMask = 1<<12 - 1
 
-// eventSource abstracts where replay pulls events from: a fully
-// captured Trace (all chunks immediately available) or a live Stream
-// (nextChunk blocks until capture seals the next one). Replay state —
-// open frames, virtual-finish injection, the step state machine — lives
-// in the replayer and carries across chunk seams untouched, so a
-// virtual finish may open in one chunk and close in a later one.
-type eventSource interface {
-	// nextChunk returns chunk i and the label table covering it;
-	// ok=false when the source is exhausted, with err set if the
-	// producer failed.
-	nextChunk(i int) (events []Event, labels []string, ok bool, err error)
-	// tailWork reports work trailing the final event; valid once
-	// nextChunk has returned ok=false with a nil error.
-	tailWork() int64
-}
-
-// nextChunk returns the i'th captured chunk (Trace is a fully-available
-// event source).
-func (t *Trace) nextChunk(i int) ([]Event, []string, bool, error) {
-	if i < len(t.chunks) {
-		return t.chunks[i], t.labels, true, nil
-	}
-	return nil, nil, false, nil
-}
-
-func (t *Trace) tailWork() int64 { return t.TailWork }
-
 // Replay reconstructs the execution recorded in tr, feeding sink and
 // rebuilding the S-DPST. With no injected finishes the resulting tree
 // is node-for-node identical (IDs, kinds, coordinates, work) to the one
@@ -189,19 +162,7 @@ func (t *Trace) tailWork() int64 { return t.TailWork }
 // finishes appear exactly where re-executing the rewritten program
 // would put them; finish statements are free in the cost model, so no
 // other node changes.
-func Replay(tr *Trace, opts ReplayOptions) (*Result, error) {
-	return replayFrom(tr, opts)
-}
-
-// ReplayStream is Replay over a live capture stream: it consumes chunks
-// as the recorder seals them, blocking until the next chunk (or the end
-// of the capture) is available, and produces exactly the result a batch
-// replay of the completed trace would.
-func ReplayStream(s *Stream, opts ReplayOptions) (*Result, error) {
-	return replayFrom(s, opts)
-}
-
-func replayFrom(src eventSource, opts ReplayOptions) (res *Result, err error) {
+func Replay(tr *Trace, opts ReplayOptions) (res *Result, err error) {
 	r := &replayer{
 		tree:       dpst.NewTree(),
 		sink:       opts.Sink,
@@ -210,6 +171,7 @@ func replayFrom(src eventSource, opts ReplayOptions) (res *Result, err error) {
 		nodeLimit:  opts.Meter.MaxSDPSTNodes(),
 		blocks:     make(map[int32]*ast.Block),
 		ranges:     groupRanges(opts.Finishes),
+		tr:         tr,
 		siteBlock:  -1,
 		siteStmt:   -1,
 	}
@@ -235,15 +197,7 @@ func replayFrom(src eventSource, opts ReplayOptions) (res *Result, err error) {
 
 	r.sink.TaskStart(r.tree.Root)
 	i := 0
-	for ci := 0; ; ci++ {
-		events, labels, ok, serr := src.nextChunk(ci)
-		if serr != nil {
-			return nil, serr
-		}
-		if !ok {
-			break
-		}
-		r.labels = labels
+	for _, events := range tr.chunks {
 		for j := range events {
 			e := &events[j]
 			if e.W > 0 && r.curStep != nil {
@@ -279,8 +233,8 @@ func replayFrom(src eventSource, opts ReplayOptions) (res *Result, err error) {
 			i++
 		}
 	}
-	if tw := src.tailWork(); tw > 0 && r.curStep != nil {
-		r.curStep.Work += tw
+	if tr.TailWork > 0 && r.curStep != nil {
+		r.curStep.Work += tr.TailWork
 	}
 	for len(r.frames) > 1 && r.top().synthetic {
 		r.closeSynthetic()
@@ -403,19 +357,10 @@ func (r *replayer) ensureStep(bid, stmt int32) {
 	r.steps++
 }
 
-// label resolves a label-table index against the current chunk's
-// snapshot.
-func (r *replayer) label(i uint16) string {
-	if int(i) < len(r.labels) {
-		return r.labels[i]
-	}
-	return ""
-}
-
 func (r *replayer) push(e *Event) {
 	r.curStep = nil
 	r.noteNode()
-	n := r.tree.NewChild(r.top().node, dpst.Kind(e.NKind), dpst.ScopeClass(e.Class), r.label(e.Label))
+	n := r.tree.NewChild(r.top().node, dpst.Kind(e.NKind), dpst.ScopeClass(e.Class), r.tr.Label(e.Label))
 	n.OwnerBlock = r.block(e.Block)
 	n.StmtLo, n.StmtHi = int(e.Stmt), int(e.Stmt)
 	n.Body = r.block(e.Body)

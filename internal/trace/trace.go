@@ -107,7 +107,6 @@ type Recorder struct {
 	t       Trace
 	pending uint32 // work units since the last event
 	labels  map[string]uint16
-	stream  *Stream // when set, sealed chunks publish as capture runs
 }
 
 // NewRecorder returns an empty recorder.
@@ -115,25 +114,11 @@ func NewRecorder() *Recorder {
 	return &Recorder{labels: make(map[string]uint16)}
 }
 
-// StreamTo mirrors the capture onto s: every chunk publishes the moment
-// it seals (while execution continues), and Trace publishes the partial
-// tail and finishes the stream. Set it before recording starts. The
-// recorder still accumulates the full trace, so streamed captures also
-// yield a replayable Trace for later iterations.
-func (r *Recorder) StreamTo(s *Stream) { r.stream = s }
-
 // Trace finalizes and returns the captured trace. The recorder must not
 // be used afterwards.
 func (r *Recorder) Trace() *Trace {
 	r.t.TailWork += int64(r.pending)
 	r.pending = 0
-	if r.stream != nil {
-		if k := len(r.t.chunks); k > 0 && len(r.t.chunks[k-1]) < chunkLen {
-			r.stream.publish(r.t.chunks[k-1], r.t.labels)
-		}
-		r.stream.finish(r.t.TailWork)
-		r.stream = nil
-	}
 	return &r.t
 }
 
@@ -151,11 +136,6 @@ func (r *Recorder) append(e Event) {
 	}
 	r.t.chunks[k-1] = append(r.t.chunks[k-1], e)
 	r.t.n++
-	if r.stream != nil && len(r.t.chunks[k-1]) == chunkLen {
-		// Sealed: the next append starts a fresh chunk, so this one is
-		// immutable from here on and safe to hand to the consumer.
-		r.stream.publish(r.t.chunks[k-1], r.t.labels)
-	}
 }
 
 func (r *Recorder) labelIndex(s string) uint16 {

@@ -262,6 +262,9 @@ func TestVirtualFinishInjection(t *testing.T) {
 			fn     string
 			lo, hi int
 		}
+		// minEvents, when set, is a lower bound on the capture's length,
+		// so the case is known to cross chunk seams.
+		minEvents int
 	}{
 		{
 			name: "wrap-asyncs",
@@ -319,6 +322,40 @@ func main() {
 				lo, hi int
 			}{{"main", 0, 2}, {"main", 0, 0}},
 		},
+		{
+			// Every loop iteration records a task start/end pair plus
+			// accesses, so the capture fills several 4096-event chunks
+			// and the finish around the loop stays open across every
+			// chunk seam: injection state must carry across them.
+			name: "chunk-seams",
+			stripped: `
+var g = 0;
+func main() {
+    var a = make([]int, 8);
+    for (var i = 0; i < 2000; i = i + 1) {
+        async { a[0] = i; }
+        g = g + 1;
+    }
+    println(g);
+}`,
+			finished: `
+var g = 0;
+func main() {
+    var a = make([]int, 8);
+    finish {
+        for (var i = 0; i < 2000; i = i + 1) {
+            async { a[0] = i; }
+            g = g + 1;
+        }
+    }
+    println(g);
+}`,
+			ranges: []struct {
+				fn     string
+				lo, hi int
+			}{{"main", 1, 1}},
+			minEvents: 2 * 4096,
+		},
 	}
 	for _, c := range cases {
 		// Reference: real finishes, re-executed.
@@ -326,6 +363,9 @@ func main() {
 
 		// Capture the stripped program once; replay with injection.
 		info, _, tr := capture(t, c.stripped, false)
+		if tr.Len() < c.minEvents {
+			t.Fatalf("%s: fixture too small to cross chunk seams: %d events, want >= %d", c.name, tr.Len(), c.minEvents)
+		}
 		var fins []trace.FinishRange
 		for _, r := range c.ranges {
 			blk := info.Prog.Func(r.fn).Body

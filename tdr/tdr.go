@@ -342,12 +342,10 @@ type RepairOptions struct {
 	// Tracer records per-phase spans; when nil, the tracer attached by
 	// LoadTraced (if any) is used.
 	Tracer *obs.Tracer
-	// Workers bounds the analysis parallelism: the first detection round
-	// overlaps capture with analysis, Engine Both shards its scan across
-	// this many workers, and the independent per-NS-LCA placement
-	// problems and the post-repair
-	// adversarial verification schedules run on a worker pool of this
-	// size. The repaired program and every report are identical for any
+	// Workers bounds the analysis parallelism: Engine Both shards its
+	// scan across this many workers, and the independent per-NS-LCA
+	// placement problems and the post-repair adversarial verification
+	// schedules run on a worker pool of this size. The repaired program and every report are identical for any
 	// worker count. 0 or 1 is fully sequential.
 	Workers int
 	// Vet runs the static analyzer over the program before the repair
